@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race tier1 bench bench-solver bench-scale bench-scale-smoke bench-sim bench-sim-smoke bench-shard bench-shard-smoke bench-warm metrics-smoke serve-smoke longhorizon-smoke flight-smoke figures
+.PHONY: build vet test race tier1 bench bench-selftest bench-solver bench-scale bench-scale-smoke bench-sim bench-sim-smoke bench-shard bench-shard-smoke bench-warm metrics-smoke serve-smoke longhorizon-smoke flight-smoke figures
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ tier1: build vet race
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Benchmark self-test: perfbench is its own module, so `go build ./...` at
+# the root never compiles it. Vetting and testing it here (tiny scale)
+# catches a core/sim/server API change that would break the benchmark.
+bench-selftest:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Solver smoke benches: one iteration of every lp/mip/sched/cluster bench.
 # CI runs this to catch solver-path regressions that compile and pass unit
@@ -108,6 +114,23 @@ metrics-smoke:
 	done; \
 	echo "metrics-smoke: all key series present"
 
+# Shared eagleeyed lifecycle for the smoke recipes below, expanded inside
+# one recipe shell so EED_PID carries over. eed_boot starts the daemon
+# built at /tmp/eagleeyed on address $(1) with extra flags $(2), then
+# polls GET /healthz for up to 10 s, failing fast if the daemon exits.
+# eed_stop sends SIGTERM and requires a clean drain (exit status 0).
+eed_boot = /tmp/eagleeyed -addr $(1) $(2) & \
+	EED_PID=$$!; \
+	for i in $$(seq 1 50); do \
+		kill -0 $$EED_PID 2>/dev/null || { echo "eagleeyed on $(1) exited during boot"; exit 1; }; \
+		curl -sf http://$(1)/healthz -o /dev/null && break; \
+		sleep 0.2; \
+	done; \
+	curl -sf http://$(1)/healthz -o /dev/null \
+		|| { echo "eagleeyed on $(1) not healthy after 10 s"; kill $$EED_PID; exit 1; }
+eed_stop = kill -TERM $$EED_PID; \
+	wait $$EED_PID || { echo "eagleeyed did not drain cleanly"; exit 1; }
+
 # Scheduling-service smoke, mirroring the PR 6 acceptance criteria at CI
 # scale. Phase 1: boot eagleeyed, drive 100 concurrent sessions with
 # loadgen -verify (zero drops, every result identical to a direct library
@@ -118,14 +141,11 @@ metrics-smoke:
 serve-smoke:
 	$(GO) build -o /tmp/eagleeyed ./cmd/eagleeyed
 	$(GO) build -o /tmp/eagleeye-loadgen ./cmd/loadgen
-	/tmp/eagleeyed -addr 127.0.0.1:19091 -workers 4 & \
-	EED_PID=$$!; \
-	sleep 1; \
+	$(call eed_boot,127.0.0.1:19091,-workers 4); \
 	/tmp/eagleeye-loadgen -addr 127.0.0.1:19091 \
 		-sessions 100 -concurrency 100 -hours 0.25 -verify || exit 1; \
 	curl -sf http://127.0.0.1:19091/metrics -o /tmp/eagleeyed-metrics.txt || exit 1; \
-	kill -TERM $$EED_PID; \
-	wait $$EED_PID || exit 1; \
+	$(eed_stop); \
 	for series in eagleeyed_sessions_created_total eagleeyed_sessions_active \
 		eagleeyed_runs_total eagleeyed_run_seconds_bucket \
 		eagleeyed_queue_depth eagleeyed_admission_rejects_total \
@@ -134,16 +154,13 @@ serve-smoke:
 			|| { echo "serve-smoke: missing series $$series"; exit 1; }; \
 	done; \
 	echo "serve-smoke: 100 verified concurrent sessions, server series live"
-	/tmp/eagleeyed -addr 127.0.0.1:19092 -workers 1 -queue 1 & \
-	EED_PID=$$!; \
-	sleep 1; \
+	$(call eed_boot,127.0.0.1:19092,-workers 1 -queue 1); \
 	/tmp/eagleeye-loadgen -addr 127.0.0.1:19092 \
 		-sessions 6 -concurrency 6 -hours 24 > /tmp/eagleeyed-saturation.txt || \
 		{ cat /tmp/eagleeyed-saturation.txt; exit 1; }; \
 	cat /tmp/eagleeyed-saturation.txt; \
 	curl -sf http://127.0.0.1:19092/metrics -o /tmp/eagleeyed-metrics2.txt || exit 1; \
-	kill -TERM $$EED_PID; \
-	wait $$EED_PID || exit 1; \
+	$(eed_stop); \
 	grep -q '429-retries=[1-9]' /tmp/eagleeyed-saturation.txt \
 		|| { echo "serve-smoke: saturation produced no 429 backpressure"; exit 1; }; \
 	grep -Eq 'eagleeyed_admission_rejects_total\{reason="queue"\} [1-9]' /tmp/eagleeyed-metrics2.txt \
@@ -165,23 +182,17 @@ longhorizon-smoke:
 	$(GO) build -o /tmp/eagleeyed ./cmd/eagleeyed
 	rm -rf /tmp/eagleeye-spool; \
 	SC='{"dataset":"ships","satellites":4,"duration_hours":2,"seed":7,"continuous":true,"events":[{"at_hours":0.5,"kind":"follower-fail"}]}'; \
-	/tmp/eagleeyed -addr 127.0.0.1:19093 -checkpoint-dir /tmp/eagleeye-spool & \
-	EED_PID=$$!; \
-	sleep 1; \
+	$(call eed_boot,127.0.0.1:19093,-checkpoint-dir /tmp/eagleeye-spool); \
 	curl -sf -X POST -d "$$SC" http://127.0.0.1:19093/v1/sessions -o /dev/null || exit 1; \
 	curl -sf -X POST -d '{"hours":0.6}' http://127.0.0.1:19093/v1/sessions/s1/step -o /dev/null || exit 1; \
-	kill -TERM $$EED_PID; \
-	wait $$EED_PID || exit 1; \
+	$(eed_stop); \
 	test -f /tmp/eagleeye-spool/s1.ckpt \
 		|| { echo "longhorizon-smoke: SIGTERM spooled nothing"; exit 1; }; \
-	/tmp/eagleeyed -addr 127.0.0.1:19093 -checkpoint-dir /tmp/eagleeye-spool & \
-	EED_PID=$$!; \
-	sleep 1; \
+	$(call eed_boot,127.0.0.1:19093,-checkpoint-dir /tmp/eagleeye-spool); \
 	curl -sf -X POST -d '{"hours":0}' http://127.0.0.1:19093/v1/sessions/s1/step -o /tmp/ee-lh-resumed.json || exit 1; \
 	curl -sf -X POST -d "$$SC" http://127.0.0.1:19093/v1/sessions -o /dev/null || exit 1; \
 	curl -sf -X POST -d '{"hours":0}' http://127.0.0.1:19093/v1/sessions/s2/step -o /tmp/ee-lh-full.json || exit 1; \
-	kill -TERM $$EED_PID; \
-	wait $$EED_PID || exit 1; \
+	$(eed_stop); \
 	for f in Frames Detections Captures HighResCaptured CoveragePct CrosslinkKB EventsApplied SatsFailed; do \
 		a=$$(grep -o "\"$$f\":[^,}]*" /tmp/ee-lh-resumed.json | head -1); \
 		b=$$(grep -o "\"$$f\":[^,}]*" /tmp/ee-lh-full.json | head -1); \
@@ -202,10 +213,7 @@ longhorizon-smoke:
 flight-smoke:
 	$(GO) build -o /tmp/eagleeyed ./cmd/eagleeyed
 	$(GO) build -o /tmp/eeinspect ./cmd/eeinspect
-	/tmp/eagleeyed -addr 127.0.0.1:19094 -workers 1 -request-timeout 50ms \
-		2> /tmp/eagleeyed-flight.log & \
-	EED_PID=$$!; \
-	sleep 1; \
+	$(call eed_boot,127.0.0.1:19094,-workers 1 -request-timeout 50ms 2> /tmp/eagleeyed-flight.log); \
 	curl -sf -X POST -d '{"dataset":"ships","satellites":4,"duration_hours":24,"seed":7}' \
 		http://127.0.0.1:19094/v1/sessions -o /dev/null || exit 1; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST \
@@ -218,8 +226,7 @@ flight-smoke:
 	done; \
 	curl -sf http://127.0.0.1:19094/v1/sessions/s1/flight -o /tmp/ee-flight-s1.json || exit 1; \
 	curl -sf http://127.0.0.1:19094/debug/flight -o /tmp/ee-flight-all.json || exit 1; \
-	kill -TERM $$EED_PID; \
-	wait $$EED_PID || exit 1; \
+	$(eed_stop); \
 	grep -q '"request_id":"flight-smoke-req"' /tmp/eagleeyed-flight.log \
 		|| { echo "flight-smoke: request ID missing from structured log"; exit 1; }; \
 	grep -q '"status":504' /tmp/eagleeyed-flight.log \

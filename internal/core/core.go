@@ -72,6 +72,7 @@ type Pipeline struct {
 	// Pipeline is single-goroutine, as the Rng field already requires.
 	scratchPts     []geo.Point2
 	scratchTargets []sched.Target
+	scratchProb    sched.Problem
 	scratchWire    []byte
 	// emptyCaps backs the no-detections Schedule; callers treat returned
 	// schedules as read-only.
@@ -189,9 +190,9 @@ func (p *Pipeline) ProcessFrame(f Frame, followers []sched.Follower, env sched.E
 
 	p.scratchTargets = targets
 
-	prob := &sched.Problem{Env: env, Targets: targets, Followers: followers}
+	p.scratchProb = sched.Problem{Env: env, Targets: targets, Followers: followers}
 	start := time.Now()
-	schedule, err := p.Scheduler.Schedule(prob)
+	schedule, err := p.Scheduler.Schedule(&p.scratchProb)
 	res.SchedWall = time.Since(start)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: scheduling: %w", err)

@@ -155,13 +155,11 @@ type shardUnit struct {
 // single-goroutine (parallelism happens only inside ProcessFrame, through
 // the Parallel hook).
 type ShardedPipeline struct {
-	// Template is copied into every shard unit. Its Scheduler, Rng and
-	// ClusterOpts.State fields are ignored: each unit gets its own from
-	// NewScheduler / NewClusterState / the per-frame seed. PriorityScale
-	// is re-read at every ProcessFrame call (the simulator's recapture
-	// hook closes over the current frame), so it may change between
-	// frames; it must then be safe for concurrent calls, since all shards
-	// share it within a frame.
+	// Template is copied into each shard unit once, when the unit is
+	// built. Its Scheduler, Rng and ClusterOpts.State fields are ignored:
+	// each unit gets its own from NewScheduler / NewClusterState / the
+	// per-frame seed. Every unit shares Template.PriorityScale, so with a
+	// Parallel hook set it must be safe for concurrent calls.
 	Template Pipeline
 	// NewScheduler builds one shard's scheduler. Required: schedulers
 	// carry warm-start state and must not be shared across shards.
@@ -232,12 +230,15 @@ func (sp *ShardedPipeline) Close() {
 	sp.units = nil
 }
 
-// ProcessFrame is the sharded twin of Pipeline.ProcessFrame: plan the
-// grid, partition the truth by owner, run every shard's pipeline (in
-// parallel when a Parallel hook is set), and merge in shard order. seed
-// drives the per-shard detector RNGs; for a fixed configuration the
-// result is a pure function of (frame, followers, env, seed), independent
-// of the Parallel hook's concurrency.
+// ProcessFrame plans the frame's shard grid and runs the leader pipeline
+// over it. A 1x1 plan is the plain leader pipeline: shard unit 0 runs the
+// frame as given (its bounds, its truth, seed as the detector seed) and
+// its Result is returned unchanged. Larger plans partition the truth by
+// owner, run every shard's pipeline on its cell with a seed derived from
+// seed (in parallel when a Parallel hook is set), and merge in shard
+// order. For a fixed configuration the result is a pure function of
+// (frame, followers, env, seed), independent of the Parallel hook's
+// concurrency.
 func (sp *ShardedPipeline) ProcessFrame(f Frame, followers []sched.Follower, env sched.Env, seed int64) (Result, ShardFrameStats, error) {
 	if sp.NewScheduler == nil {
 		return Result{}, ShardFrameStats{}, fmt.Errorf("core: sharded pipeline needs a NewScheduler hook")
@@ -252,6 +253,23 @@ func (sp *ShardedPipeline) ProcessFrame(f Frame, followers []sched.Follower, env
 	pl := PlanShards(f.Bounds, swath, len(f.Truth), sp.perShard(), sp.MaxShards)
 	n := pl.Shards()
 	sp.ensureUnits(n)
+	stats := ShardFrameStats{Shards: n, MeanTargets: float64(len(f.Truth)) / float64(n)}
+	if n == 1 {
+		u := sp.units[0]
+		u.src.Seed(seed)
+		res, err := u.pipe.ProcessFrame(f, followers, env)
+		if err != nil {
+			return Result{}, stats, err
+		}
+		stats.MaxTargets = len(f.Truth)
+		if res.ClusterStats.Fallback {
+			stats.ClusterFallbacks = 1
+		}
+		if res.Schedule.SolveStats.Fallback {
+			stats.SchedFallbacks = 1
+		}
+		return res, stats, nil
+	}
 
 	// Partition truth in input order: per-shard slices plus the local ->
 	// frame index map that keeps Detection.TruthIndex meaningful after the
@@ -260,26 +278,20 @@ func (sp *ShardedPipeline) ProcessFrame(f Frame, followers []sched.Follower, env
 		sp.owner = make([]int32, len(f.Truth))
 	}
 	owner := sp.owner[:len(f.Truth)]
-	stats := ShardFrameStats{Shards: n, MeanTargets: float64(len(f.Truth)) / float64(n)}
 	for k := 0; k < n; k++ {
 		u := sp.units[k]
-		u.pipe.PriorityScale = sp.Template.PriorityScale
 		u.truth = u.truth[:0]
 		u.truthIdx = u.truthIdx[:0]
 		u.res = Result{}
 		u.err = nil
 	}
-	if n == 1 {
-		sp.units[0].truth = append(sp.units[0].truth, f.Truth...)
-	} else {
-		for i, p := range f.Truth {
-			owner[i] = int32(pl.Owner(p))
-		}
-		for i := range f.Truth {
-			u := sp.units[owner[i]]
-			u.truth = append(u.truth, f.Truth[i])
-			u.truthIdx = append(u.truthIdx, int32(i))
-		}
+	for i, p := range f.Truth {
+		owner[i] = int32(pl.Owner(p))
+	}
+	for i := range f.Truth {
+		u := sp.units[owner[i]]
+		u.truth = append(u.truth, f.Truth[i])
+		u.truthIdx = append(u.truthIdx, int32(i))
 	}
 	for k := 0; k < n; k++ {
 		if l := len(sp.units[k].truth); l > stats.MaxTargets {
@@ -297,7 +309,7 @@ func (sp *ShardedPipeline) ProcessFrame(f Frame, followers []sched.Follower, env
 		sub := Frame{Truth: u.truth, Bounds: pl.Cell(k), GSDM: f.GSDM}
 		u.res, u.err = u.pipe.ProcessFrame(sub, followers, env)
 	}
-	if sp.Parallel != nil && n > 1 {
+	if sp.Parallel != nil {
 		sp.Parallel(n, run)
 	} else {
 		for k := 0; k < n; k++ {
@@ -342,7 +354,7 @@ func (sp *ShardedPipeline) ProcessFrame(f Frame, followers []sched.Follower, env
 			tgtBase = detBase
 		}
 		for _, d := range r.Detections {
-			if n > 1 && d.TruthIndex >= 0 {
+			if d.TruthIndex >= 0 {
 				d.TruthIndex = int(u.truthIdx[d.TruthIndex])
 			}
 			res.Detections = append(res.Detections, d)
@@ -477,7 +489,6 @@ func mergeSchedStats(dst *sched.Stats, s *sched.Stats, first bool) {
 	dst.WarmAttempted = dst.WarmAttempted || s.WarmAttempted
 	dst.Warm = dst.Warm || s.Warm
 	dst.WarmPruned += s.WarmPruned
-	dst.WarmEarlyExit = dst.WarmEarlyExit || s.WarmEarlyExit
 	dst.BasisReuses += s.BasisReuses
 	dst.Refactorizations += s.Refactorizations
 	dst.RepairFails += s.RepairFails

@@ -101,25 +101,17 @@ func (w *Workspace) SolveOpts(p *Problem, opts Options) (Solution, error) {
 		pivotWall    time.Duration
 
 		warmOK     bool
-		warmVal    = math.Inf(-1)
-		warmFloor  = math.Inf(-1) // pruning floor: slightly below warmVal
+		warmFloor  = math.Inf(-1) // pruning floor: slightly below the warm value
 		warmPruned int
-		warmEarly  bool
 	)
 	if opts.WarmStart != nil {
 		var v float64
 		if v, warmOK = verifyWarm(p, opts.WarmStart, opts.IntTol); warmOK {
-			warmVal = v
 			// The floor sits a feasibility tolerance below the candidate's
 			// value: nodes pruned by it provably cannot hold a solution the
-			// cold search would prefer, so default-mode warm solves return
-			// the same result as cold ones.
+			// cold search would prefer, so warm solves return the same
+			// result as cold ones.
 			warmFloor = v - feasTol*(1+math.Abs(v))
-			if opts.WarmAggressive {
-				incumbent = make([]float64, n)
-				copy(incumbent, opts.WarmStart)
-				incumbentVal = v
-			}
 		}
 	}
 
@@ -208,15 +200,6 @@ func (w *Workspace) SolveOpts(p *Problem, opts Options) (Solution, error) {
 				continue
 			}
 			anyOptimal = true
-			if opts.WarmAggressive && warmOK &&
-				sol.Objective <= warmVal+feasTol*(1+math.Abs(warmVal)) {
-				// This node's LP bound proves the warm candidate optimal
-				// within tolerance: nothing below it can beat the installed
-				// incumbent, so the whole subtree collapses. At the root
-				// this ends the search after a single LP.
-				warmEarly = true
-				break
-			}
 			{
 				cut := incumbentVal
 				if warmFloor > cut {
@@ -298,7 +281,7 @@ func (w *Workspace) SolveOpts(p *Problem, opts Options) (Solution, error) {
 
 	out := Solution{Nodes: nodes, Iters: iters, PivotWall: pivotWall,
 		WarmAttempted: opts.WarmStart != nil, WarmAccepted: warmOK,
-		WarmPruned: warmPruned, WarmEarlyExit: warmEarly,
+		WarmPruned:       warmPruned,
 		BasisReuses:      ws.BasisReuses - basisReuses0,
 		Refactorizations: ws.Refactorizations - refactor0,
 		RepairFails:      ws.RepairFails - repair0}
@@ -364,9 +347,6 @@ func recordSolve(m *obs.SolverMetrics, s *Solution) {
 	}
 	if s.WarmPruned > 0 {
 		m.WarmPruned.Add(int64(s.WarmPruned))
-	}
-	if s.WarmEarlyExit {
-		m.WarmEarlyExits.Inc()
 	}
 	if s.BasisReuses > 0 {
 		m.BasisReuses.Add(int64(s.BasisReuses))

@@ -49,11 +49,6 @@ type ILP struct {
 	// candidates projected from the previous schedule. The holder must
 	// call Schedule from a single goroutine, in frame order.
 	State *SolverState
-	// AggressiveWarm selects mip.Options.WarmAggressive for warm solves:
-	// the candidate is installed as the root incumbent and the search
-	// exits as soon as a bound proves it optimal. Fastest, but may return
-	// a different optimum among exact ties than a cold solve.
-	AggressiveWarm bool
 	// fallback is used if the MIP fails to produce any solution.
 	fallback Greedy
 }
@@ -209,7 +204,6 @@ func (s ILP) scheduleJoint(p *Problem) (Schedule, error) {
 		opts.ReuseBasis = true
 		if wx, ok := st.warmCandidate(&s, m, p); ok {
 			opts.WarmStart = wx
-			opts.WarmAggressive = s.AggressiveWarm
 		}
 	}
 	sol, err := ar.mip.SolveOpts(m.prob, opts)
@@ -244,7 +238,6 @@ func (s ILP) scheduleJoint(p *Problem) (Schedule, error) {
 		WarmAttempted:    sol.WarmAttempted,
 		Warm:             sol.WarmAccepted,
 		WarmPruned:       sol.WarmPruned,
-		WarmEarlyExit:    sol.WarmEarlyExit,
 		BasisReuses:      sol.BasisReuses,
 		Refactorizations: sol.Refactorizations,
 		RepairFails:      sol.RepairFails,

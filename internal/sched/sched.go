@@ -182,7 +182,6 @@ type Stats struct {
 	WarmAttempted bool // a warm candidate was offered to the solver
 	Warm          bool // a warm candidate verified and was used
 	WarmPruned    int  // B&B nodes cut by the warm floor
-	WarmEarlyExit bool // a bound proved the warm candidate optimal
 	BasisReuses   int  // LP solves that skipped phase 1 via basis reuse
 	// LP anomaly deltas for this solve (flight-recorder signals).
 	Refactorizations int // sparse-core mid-solve refactorizations

@@ -395,3 +395,31 @@ func TestMetricsWired(t *testing.T) {
 		t.Error("run emitted no simulator frame metrics")
 	}
 }
+
+// TestRaceGetDuringRun polls session info while a run executes: GET
+// handlers read the session's progress (Done, Aggregate) while a worker
+// steps it. Run under -race it pins that those reads are synchronized.
+func TestRaceGetDuringRun(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	id := createSession(t, ts.URL, gridScenario(0.3))
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, body := doJSON(t, "POST", ts.URL+"/v1/sessions/"+id+"/run", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("run = %d: %s", resp.StatusCode, body)
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		resp, _ := doJSON(t, "GET", ts.URL+"/v1/sessions/"+id, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("get = %d", resp.StatusCode)
+		}
+	}
+}

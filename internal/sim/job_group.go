@@ -40,14 +40,19 @@ type groupJob struct {
 	cadence  float64
 	computeS float64
 	env      sched.Env
-	pipe     *core.Pipeline
-	// sharded, when non-nil (cfg.ShardTargets > 0), replaces pipe for
-	// frame processing: the footprint is tiled spatially and the
-	// detect/cluster/sched pipeline runs per shard with an ordered merge
-	// (see core.ShardedPipeline).
-	sharded  *core.ShardedPipeline
+	// pipe runs every leader frame. Unsharded runs keep each frame on the
+	// 1x1 plan, which is the paper's leader pipeline; under
+	// Config.ShardTargets dense frames are tiled spatially with an
+	// ordered merge (see core.ShardedPipeline).
+	pipe     *core.ShardedPipeline
 	w, h, qr float64
 	swath    float64 // executing camera's high-res swath
+
+	// frame is the tangent frame of the frame in flight, read by the
+	// recapture hook; recap counts the detections the hook suppressed in
+	// it (atomic: shards call the hook concurrently).
+	frame geo.TangentFrame
+	recap atomic.Int64
 
 	lead *orbit.Stepper
 	// leadFresh marks a re-election frame: the replacement stepper is
@@ -58,9 +63,6 @@ type groupJob struct {
 	aliveCount    int
 	leader        *constellation.Satellite
 	activeSlots   []int // schedule slot -> follower index, rebuilt per frame
-
-	ss *sched.SolverState
-	cs *cluster.SolverState
 
 	events     []Event
 	evCursor   int
@@ -99,76 +101,13 @@ func newGroupJob(st *runState, gi int, grp constellation.Group, events []Event) 
 		env.MaxOffNadirDeg = followers[0].HighRes.MaxOffNadirDeg
 	}
 
-	pipe := &core.Pipeline{
-		Detector:      cfg.Detector,
-		Tiling:        cfg.Tiling,
-		UseClustering: !cfg.NoClustering,
-		// Frame-rate clustering: bound the set-cover ILP per frame;
-		// dense frames fall back to the greedy cover, as the energy
-		// and deadline budgets require.
-		ClusterOpts: cluster.Options{
-			ForceGreedy:      cfg.ClusterGreedy,
-			MaxILPCandidates: 400,
-			MIP:              mip.Options{TimeLimit: 150 * time.Millisecond, MaxNodes: 40},
-		},
-		Scheduler:      cfg.Scheduler,
-		HighResSwathM:  highResSwath(grp, leader),
-		RecallOverride: cfg.RecallOverride,
-	}
 	j := &groupJob{
 		st: st, gi: gi, grp: grp, mix: mix,
-		cadence: cadence, computeS: computeS, env: env, pipe: pipe,
+		cadence: cadence, computeS: computeS, env: env,
 		leader: leader,
 		swath:  highResSwath(grp, leader),
 	}
-	jm := st.met
-	if jm != nil || st.fb != nil {
-		// Both the metrics layer and the flight recorder consume the
-		// per-stage wall measurements.
-		pipe.Timed = true
-	}
-	if jm != nil {
-		pipe.ClusterOpts.MIP.Metrics = jm.m.solverCluster
-	}
-	if cfg.ShardTargets > 0 {
-		// Spatial sharding: pipe stays the unit template, frames run
-		// through the sharded twin. Per-shard scheduler and cover state
-		// come from the hooks inside newShardedPipeline, so j.ss/j.cs stay
-		// nil and Close releases the per-unit states instead.
-		j.sharded = newShardedPipeline(j, jm)
-	} else {
-		if pipe.Scheduler == nil {
-			// Frame-rate solves: bound the MIP search tightly; the polish pass
-			// and the greedy fallback keep truncated solves near-optimal. The
-			// default scheduler is built here, per group, so each leader owns a
-			// private temporal-coherence state (warm candidates, basis reuse,
-			// incremental model construction -- see sched.SolverState). Group-
-			// private state keeps the Result identical for any Workers value.
-			opts := mip.Options{TimeLimit: 500 * time.Millisecond, MaxNodes: 200}
-			if jm != nil {
-				opts.Metrics = jm.m.solverSched
-			}
-			ilp := sched.ILP{MIP: opts}
-			if !cfg.DisableWarmStart {
-				// Pooled so per-run state construction stays out of the
-				// steady-state allocation budget; Reset makes a recycled state
-				// behave exactly like a fresh one. The state is returned to the
-				// pool in close (Runner.Close), not per window.
-				j.ss = sched.GetSolverState()
-				ilp.State = j.ss
-				ilp.AggressiveWarm = warmAggressive
-			}
-			pipe.Scheduler = ilp
-		}
-		if !cfg.DisableWarmStart {
-			// Same temporal coherence for the per-frame set cover: the pinned
-			// per-group arena carries the LP basis and the previous greedy
-			// cover seeds the ILP.
-			j.cs = cluster.GetSolverState()
-			pipe.ClusterOpts.State = j.cs
-			pipe.ClusterOpts.AggressiveWarm = warmAggressive
-		}
-	}
+	j.pipe = newFramePipeline(j)
 
 	j.w = leader.LowRes.SwathM
 	j.h = leader.LowRes.FootprintAlongM()
@@ -199,36 +138,69 @@ func newGroupJob(st *runState, gi int, grp constellation.Group, events []Event) 
 	return j
 }
 
-// newShardedPipeline builds the sharded twin of the plain pipeline for
-// groups running under cfg.ShardTargets > 0. Every shard unit owns a
-// private scheduler and cover solver state (pooled, honoring
-// DisableWarmStart), so the intra-frame parallel section shares no
-// mutable solver state; the executor is the same bounded worker policy
-// the group jobs use, so a run never exceeds Workers goroutines per
-// sharded frame.
-func newShardedPipeline(j *groupJob, jm *jobMetrics) *core.ShardedPipeline {
+// newFramePipeline builds the group's frame engine. Every shard unit owns
+// a private scheduler and cover solver state, pooled and built here per
+// group, so each leader owns its temporal-coherence state (warm
+// candidates, basis reuse, incremental model construction -- see
+// sched.SolverState) and the Result is identical for any Workers value.
+// The intra-frame executor is the same bounded worker policy the group
+// jobs use, so a run never exceeds Workers goroutines per sharded frame.
+func newFramePipeline(j *groupJob) *core.ShardedPipeline {
 	cfg := &j.st.cfg
+	jm := j.st.met
 	sp := &core.ShardedPipeline{
-		Template:        *j.pipe,
-		PerShardTargets: cfg.ShardTargets,
+		Template: core.Pipeline{
+			Detector:      cfg.Detector,
+			Tiling:        cfg.Tiling,
+			UseClustering: !cfg.NoClustering,
+			// Frame-rate clustering: bound the set-cover ILP per frame;
+			// dense frames fall back to the greedy cover, as the energy
+			// and deadline budgets require.
+			ClusterOpts: cluster.Options{
+				ForceGreedy:      cfg.ClusterGreedy,
+				MaxILPCandidates: 400,
+				MIP:              mip.Options{TimeLimit: 150 * time.Millisecond, MaxNodes: 40},
+			},
+			HighResSwathM:  j.swath,
+			RecallOverride: cfg.RecallOverride,
+			// Both the metrics layer and the flight recorder consume the
+			// per-stage wall measurements.
+			Timed: jm != nil || j.st.fb != nil,
+		},
 	}
-	// Dense shards must not enumerate cover candidates pairwise (the
-	// candidate step is quadratic in points); the grid fast path keeps
-	// per-shard clustering linear well before a shard fills its target
-	// budget.
-	if sp.Template.ClusterOpts.MaxCoverPoints == 0 {
+	if cfg.ShardTargets > 0 {
+		sp.PerShardTargets = cfg.ShardTargets
+		// Dense shards must not enumerate cover candidates pairwise (the
+		// candidate step is quadratic in points); the grid fast path keeps
+		// per-shard clustering linear well before a shard fills its target
+		// budget.
 		sp.Template.ClusterOpts.MaxCoverPoints = 256
+	} else {
+		// Unsharded runs plan every frame as the 1x1 identity grid.
+		sp.MaxShards = 1
+	}
+	if jm != nil {
+		sp.Template.ClusterOpts.MIP.Metrics = jm.m.solverCluster
+	}
+	if cfg.RecaptureDedup {
+		sp.Template.PriorityScale = j.recapturePriority
 	}
 	if !cfg.DisableWarmStart {
-		sp.Template.ClusterOpts.AggressiveWarm = warmAggressive
+		// Pooled so per-run state construction stays out of the
+		// steady-state allocation budget; Reset makes a recycled state
+		// behave exactly like a fresh one. States go back to the pools in
+		// close (Runner.Close), not per window. The pinned cover arena
+		// carries the LP basis and the previous greedy cover seeds the ILP.
 		sp.NewClusterState = cluster.GetSolverState
 		sp.FreeClusterState = cluster.PutSolverState
 	}
-	if custom := j.pipe.Scheduler; custom != nil {
+	if custom := cfg.Scheduler; custom != nil {
 		// A custom scheduler is shared by every shard; Config.Workers'
 		// contract already requires it to be safe for concurrent use.
 		sp.NewScheduler = func() sched.Scheduler { return custom }
 	} else {
+		// Frame-rate solves: bound the MIP search tightly; the polish pass
+		// and the greedy fallback keep truncated solves near-optimal.
 		opts := mip.Options{TimeLimit: 500 * time.Millisecond, MaxNodes: 200}
 		if jm != nil {
 			opts.Metrics = jm.m.solverSched
@@ -237,7 +209,6 @@ func newShardedPipeline(j *groupJob, jm *jobMetrics) *core.ShardedPipeline {
 			ilp := sched.ILP{MIP: opts}
 			if !cfg.DisableWarmStart {
 				ilp.State = sched.GetSolverState()
-				ilp.AggressiveWarm = warmAggressive
 			}
 			return ilp
 		}
@@ -256,20 +227,26 @@ func newShardedPipeline(j *groupJob, jm *jobMetrics) *core.ShardedPipeline {
 	return sp
 }
 
+// recapturePriority is the §4.7 recapture hook: detections at ground
+// cells this group already captured at high resolution are deprioritized
+// to a tenth of their score. capCells is read-only until executeSchedule
+// runs, after the frame solve, so concurrent shards need only the atomic
+// counter, whose total is the same set of detections for any worker
+// count.
+func (j *groupJob) recapturePriority(lp geo.Point2) float64 {
+	if j.st.capCells[capCellKey(j.frame.ToGeodetic(lp))] {
+		j.recap.Add(1)
+		return 0.1
+	}
+	return 1
+}
+
 func (j *groupJob) state() *runState { return j.st }
 
 func (j *groupJob) close() {
-	if j.sharded != nil {
-		j.sharded.Close()
-		j.sharded = nil
-	}
-	if j.ss != nil {
-		sched.PutSolverState(j.ss)
-		j.ss = nil
-	}
-	if j.cs != nil {
-		cluster.PutSolverState(j.cs)
-		j.cs = nil
+	if j.pipe != nil {
+		j.pipe.Close()
+		j.pipe = nil
 	}
 }
 
@@ -471,7 +448,6 @@ func (j *groupJob) run(untilS float64) error {
 		st.scFols = fols
 		j.activeSlots = slots
 
-		recapBefore := st.res.RecaptureSuppressed
 		var fstart time.Time
 		if fb != nil {
 			fstart = time.Now()
@@ -481,47 +457,14 @@ func (j *groupJob) run(untilS float64) error {
 			Bounds: geo.NewRectCentered(geo.Point2{}, j.w, j.h),
 			GSDM:   j.leader.LowRes.GSDM,
 		}
-		var fres core.Result
-		var sstats core.ShardFrameStats
-		var err error
-		if j.sharded != nil {
-			var recap int64
-			if cfg.RecaptureDedup {
-				// Shards call the hook concurrently. capCells is read-only
-				// until executeSchedule runs (after the frame solve), so
-				// only the suppression counter needs an atomic; its total
-				// is the same set of detections for any worker count.
-				j.sharded.Template.PriorityScale = func(lp geo.Point2) float64 {
-					if st.capCells[capCellKey(frame.ToGeodetic(lp))] {
-						atomic.AddInt64(&recap, 1)
-						return 0.1
-					}
-					return 1
-				}
-			}
-			fres, sstats, err = j.sharded.ProcessFrame(cframe, fols, j.env,
-				frameSeed(cfg.Seed, j.gi, frameIdx))
-			st.res.RecaptureSuppressed += int(atomic.LoadInt64(&recap))
-		} else {
-			st.rngSrc.Seed(frameSeed(cfg.Seed, j.gi, frameIdx))
-			j.pipe.Rng = st.rng
-			if cfg.RecaptureDedup {
-				// §4.7 recapture: detections at already-captured ground
-				// cells are deprioritized to a tenth of their score.
-				j.pipe.PriorityScale = func(lp geo.Point2) float64 {
-					if st.capCells[capCellKey(frame.ToGeodetic(lp))] {
-						st.res.RecaptureSuppressed++
-						return 0.1
-					}
-					return 1
-				}
-			}
-			fres, err = j.pipe.ProcessFrame(cframe, fols, j.env)
-		}
+		j.frame = frame
+		fres, sstats, err := j.pipe.ProcessFrame(cframe, fols, j.env, frameSeed(cfg.Seed, j.gi, frameIdx))
 		if err != nil {
 			return fmt.Errorf("sim: group %d frame %d: %w", j.gi, frameIdx, err)
 		}
-		if jm != nil && j.sharded != nil {
+		recap := j.recap.Swap(0)
+		st.res.RecaptureSuppressed += int(recap)
+		if jm != nil {
 			jm.shardSolves.Add(int64(sstats.Shards))
 			if sstats.Shards > 1 {
 				jm.shardFrames.Inc()
@@ -529,8 +472,6 @@ func (j *groupJob) run(untilS float64) error {
 			jm.shardFallbacks.Add(int64(sstats.ClusterFallbacks + sstats.SchedFallbacks))
 			jm.shardDropped.Add(int64(sstats.DroppedCaptures))
 			jm.m.shardImbalanceMax.SetMax(sstats.Imbalance())
-		}
-		if jm != nil {
 			jm.detections.Add(int64(len(fres.Detections)))
 			jm.clusters.Add(int64(len(fres.Clusters)))
 			jm.schedSolves.Inc()
@@ -540,8 +481,8 @@ func (j *groupJob) run(untilS float64) error {
 			if fres.Schedule.SolveStats.Fallback {
 				jm.schedFallbacks.Inc()
 			}
-			if d := st.res.RecaptureSuppressed - recapBefore; d > 0 {
-				jm.recaptureSuppressed.Add(int64(d))
+			if recap > 0 {
+				jm.recaptureSuppressed.Add(recap)
 			}
 		}
 		st.res.Detections += len(fres.Detections)
@@ -623,8 +564,8 @@ func (j *groupJob) run(untilS float64) error {
 }
 
 // recordFlight assembles the frame's span tree from the stage durations
-// the pipeline already measured (pipe.Timed is on whenever a recorder is
-// attached) and offers it to the flight recorder. Stages are laid out at
+// the pipeline already measured (Template.Timed is on whenever a recorder
+// is attached) and offers it to the flight recorder. Stages are laid out at
 // sequential offsets; each solver stage nests a solve span carrying the
 // LP pivot wall and the B&B node / simplex iteration counts. Anomaly
 // bits come from the per-solve stats deltas, so a slow or degraded frame

@@ -76,10 +76,11 @@ type simMetrics struct {
 	missedDeadlines *obs.Counter
 	schedFallbacks  *obs.Counter
 
-	// Spatial-sharding series (Config.ShardTargets > 0; deterministic --
-	// the shard grid and per-shard loads are pure functions of the
-	// scenario). shardImbalanceMax is the largest per-frame max/mean
-	// shard target load seen so far.
+	// Spatial-sharding series, live in every run: every frame runs
+	// through the sharded pipeline, and an unsharded frame is one 1x1
+	// shard solve. Deterministic -- the shard grid and per-shard loads are
+	// pure functions of the scenario. shardImbalanceMax is the largest
+	// per-frame max/mean shard target load seen so far.
 	shardFrames       *obs.Counter
 	shardSolves       *obs.Counter
 	shardFallbacks    *obs.Counter
@@ -122,8 +123,8 @@ func newSimMetrics(r *obs.Registry) *simMetrics {
 		missedDeadlines:     r.Counter("eagleeye_missed_deadlines_total", "Frames whose compute plus scheduling exceeded the frame cadence (wall-clock dependent)."),
 		schedFallbacks:      r.Counter("eagleeye_sched_fallbacks_total", "Schedules produced by the greedy fallback after the ILP stopped without an incumbent."),
 		shardFrames:         r.Counter("eagleeye_shard_frames_total", "Frames processed by the sharded pipeline with at least two spatial shards."),
-		shardSolves:         r.Counter("eagleeye_shard_solves_total", "Per-shard pipeline solves executed by frames on the sharded path."),
-		shardFallbacks:      r.Counter("eagleeye_shard_fallbacks_total", "Shards whose cover or schedule came from a fallback path inside a sharded frame."),
+		shardSolves:         r.Counter("eagleeye_shard_solves_total", "Per-shard pipeline solves (one per 1x1 frame, one per shard of a sharded frame)."),
+		shardFallbacks:      r.Counter("eagleeye_shard_fallbacks_total", "Shard solves whose cover or schedule came from a fallback path."),
 		shardDropped:        r.Counter("eagleeye_shard_dropped_captures_total", "Per-shard captures rejected by the cross-shard slew-feasibility re-check at stitch time."),
 		shardImbalanceMax:   r.Gauge("eagleeye_shard_imbalance_max", "Largest per-frame shard target imbalance (max/mean per-shard load) observed so far."),
 		progress:            r.Gauge("eagleeye_sim_progress", "Simulated-time fraction completed by the furthest-ahead job, 0 to 1."),

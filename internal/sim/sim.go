@@ -23,7 +23,6 @@ package sim
 import (
 	"io"
 	"math"
-	"math/rand"
 	"time"
 
 	"eagleeye/internal/adacs"
@@ -42,19 +41,6 @@ import (
 // DefaultEpoch anchors all simulations; fixing it keeps every experiment
 // reproducible.
 var DefaultEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-
-// warmAggressive selects the aggressive warm-start mode (install the warm
-// candidate as the root incumbent and stop as soon as a bound proves it
-// optimal) for the default schedulers. It is off: the early exit accepts
-// the candidate within the solver's feasibility tolerance, which is wider
-// than the scheduler objective's slot-time tie-break (see sched.edgeCost),
-// so an aggressive run can return a candidate that an exhaustive search
-// would re-time -- breaking the warm == cold result identity that
-// TestWarmStartResultIdentity pins. The conservative mode (pruning floor,
-// crash-basis seeding, cross-frame basis reuse) gets the measured solver
-// savings without that risk, because every mechanism it uses still runs
-// phase-2 simplex to the unique optimum.
-const warmAggressive = false
 
 // Config describes one simulation run.
 type Config struct {
@@ -93,18 +79,21 @@ type Config struct {
 	// ValidateSchedules re-checks every schedule against C1-C3 (slower;
 	// used by tests).
 	ValidateSchedules bool
-	// ShardTargets, when positive, shards every leader frame spatially:
-	// the footprint is tiled into along-track x cross-track cells of
-	// about ShardTargets targets each (subject to a 2x-swath geometric
-	// floor; see core.PlanShards) and the detect/cluster/sched pipeline
-	// runs per shard, in parallel across Workers goroutines inside the
-	// frame, with a deterministic ordered merge. Frames at or below
-	// ShardTargets targets run on a single shard. This is a
-	// result-shaping knob (per-shard detector RNG streams, per-shard
-	// covers, cross-shard slew stitch), part of the scenario digest a
-	// snapshot is checked against -- unlike Workers, which never changes
-	// results. 0 (the default) disables sharding entirely and keeps
-	// results byte-identical to previous releases.
+	// ShardTargets sets the spatial-sharding crossover of the frame
+	// pipeline (core.ShardedPipeline), which runs every leader frame.
+	// When positive, frames above ShardTargets targets are tiled into
+	// along-track x cross-track cells of about ShardTargets targets each
+	// (subject to a 2x-swath geometric floor; see core.PlanShards) and the
+	// detect/cluster/sched pipeline runs per shard, in parallel across
+	// Workers goroutines inside the frame, with a deterministic ordered
+	// merge; dense shards also take the grid-cover fast path above 256
+	// detections. Frames at or below ShardTargets targets run on one 1x1
+	// shard. This is a result-shaping knob (per-shard detector RNG
+	// streams, per-shard covers, cross-shard slew stitch), part of the
+	// scenario digest a snapshot is checked against -- unlike Workers,
+	// which never changes results. 0 (the default) keeps every frame on
+	// the 1x1 plan, the paper's per-frame leader pipeline, with results
+	// byte-identical to previous releases.
 	ShardTargets int
 	// RecaptureDedup enables the §4.7 recapture extension: each leader
 	// deprioritizes detections at ground positions its own group has
@@ -289,16 +278,10 @@ type runState struct {
 	scIdx   []int32
 	scPts   []geo.Point2
 	scFols  []sched.Follower
-	// rng is re-seeded per frame (frameSeed) instead of re-allocated; a
-	// Seed on the shared source yields the same stream as a fresh
-	// rand.New(rand.NewSource(seed)).
-	rngSrc rand.Source
-	rng    *rand.Rand
 }
 
 // newRunState allocates a private accumulator set for one job.
 func newRunState(cfg Config, cons *constellation.Constellation, index *dataset.TimedIndex) *runState {
-	src := rand.NewSource(0)
 	return &runState{
 		cfg:      cfg,
 		cons:     cons,
@@ -310,8 +293,6 @@ func newRunState(cfg Config, cons *constellation.Constellation, index *dataset.T
 		folB:     energy.NewBudget(energyParams(cfg)),
 		capCells: make(map[int64]bool),
 		traceOn:  cfg.Trace != nil,
-		rngSrc:   src,
-		rng:      rand.New(src),
 	}
 }
 

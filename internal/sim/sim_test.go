@@ -244,30 +244,50 @@ func TestWorkersDeterministic(t *testing.T) {
 }
 
 func TestShardedSimEngages(t *testing.T) {
-	// ShardTargets must actually fan frames out (the determinism case
-	// above would pass vacuously on 1-shard plans), every stitched
-	// schedule must survive the C1-C3 re-check, and the shard series must
-	// be live. The registry is read after the run; shard counters are
-	// deterministic (the grid is a pure function of the scenario).
-	reg := obs.NewRegistry()
-	r := run(t, Config{
-		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
-		App:           denseWorld(1500, 56), DurationS: 2 * 3600, Seed: 7,
-		ShardTargets: 48, ValidateSchedules: true, Workers: 4, Metrics: reg,
-	})
-	if r.Captures == 0 || r.HighResCaptured == 0 {
-		t.Fatalf("sharded run captured nothing: %+v", r)
-	}
-	shardFrames := reg.CounterValue("eagleeye_shard_frames_total")
-	shardSolves := reg.CounterValue("eagleeye_shard_solves_total")
-	if shardFrames == 0 {
-		t.Fatal("no frame crossed the shard crossover; the world is not dense enough")
-	}
-	if shardSolves <= shardFrames {
-		t.Errorf("shard solves %d not above sharded frames %d", shardSolves, shardFrames)
-	}
-	if imb := reg.GaugeValue("eagleeye_shard_imbalance_max"); imb < 1 {
-		t.Errorf("max shard imbalance %v below 1", imb)
+	// Every leader frame runs through the sharded pipeline. Under
+	// ShardTargets, frames must actually fan out (the determinism case
+	// above would pass vacuously on 1-shard plans) and every stitched
+	// schedule must survive the C1-C3 re-check. In the default config
+	// every frame is one 1x1 shard solve, so the shard series are live
+	// and match the scheduler's. The registry is read after the run;
+	// shard counters are deterministic (the grid is a pure function of
+	// the scenario).
+	cases := []struct {
+		name  string
+		world *dataset.Set
+		shard int
+	}{{"sharded", denseWorld(1500, 56), 48}, {"default", smallWorld(1500, 50), 0}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			r := run(t, Config{
+				Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
+				App:           tc.world, DurationS: 2 * 3600, Seed: 7,
+				ShardTargets: tc.shard, ValidateSchedules: true, Workers: 4, Metrics: reg,
+			})
+			if r.Captures == 0 || r.HighResCaptured == 0 {
+				t.Fatalf("run captured nothing: %+v", r)
+			}
+			shardFrames := reg.CounterValue("eagleeye_shard_frames_total")
+			shardSolves := reg.CounterValue("eagleeye_shard_solves_total")
+			schedSolves := reg.CounterValue("eagleeye_sched_solves_total")
+			if imb := reg.GaugeValue("eagleeye_shard_imbalance_max"); imb < 1 {
+				t.Errorf("max shard imbalance %v below 1", imb)
+			}
+			if tc.shard == 0 {
+				if shardFrames != 0 || shardSolves != schedSolves || schedSolves == 0 {
+					t.Errorf("default run: %d sharded frames, %d shard solves, %d sched solves; want 0 and equal nonzero solves",
+						shardFrames, shardSolves, schedSolves)
+				}
+				return
+			}
+			if shardFrames == 0 {
+				t.Fatal("no frame crossed the shard crossover; the world is not dense enough")
+			}
+			if shardSolves <= shardFrames {
+				t.Errorf("shard solves %d not above sharded frames %d", shardSolves, shardFrames)
+			}
+		})
 	}
 }
 

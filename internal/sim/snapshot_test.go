@@ -296,6 +296,23 @@ func TestSnapshotRejects(t *testing.T) {
 	}
 }
 
+// TestConfigDigestGolden pins the scenario digest against fixed values.
+// The default config's digest is the one older builds computed, so their
+// snapshots of unsharded runs still restore. The sharded digest carries
+// the "shard-v2" tag: sharded snapshots from builds whose 1x1 frames drew
+// detections from a derived shard seed are rejected, not replayed into a
+// different timeline.
+func TestConfigDigestGolden(t *testing.T) {
+	_, cfg := snapWorld()
+	if got, want := mustRunner(t, cfg).digest, uint64(0x32e319f9a77e7bfb); got != want {
+		t.Errorf("default digest %#x, want %#x", got, want)
+	}
+	cfg.ShardTargets = 48
+	if got, want := mustRunner(t, cfg).digest, uint64(0x4bb7aad7b7c20050); got != want {
+		t.Errorf("sharded digest %#x, want %#x", got, want)
+	}
+}
+
 // TestSnapshotOfFailedOrClosedRunner: poisoned and closed runners refuse
 // to snapshot instead of persisting a half-advanced state.
 func TestSnapshotOfFailedOrClosedRunner(t *testing.T) {

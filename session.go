@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"eagleeye/internal/sim"
 )
@@ -32,12 +33,13 @@ import (
 //     further returns an error. Continuous sessions can be serialized
 //     mid-run with Checkpoint and resumed with RestoreSession.
 //
-// A Session is not safe for concurrent use; callers that share one across
-// goroutines (the server's session table) must serialize Step calls.
+// Step, Run, Checkpoint and Close must not run concurrently; callers
+// that share a session across goroutines (the server's session table)
+// serialize them. The progress getters -- Steps, Aggregate, Done and
+// SimulatedHours -- are safe to call at any time, including while a step
+// runs: they read a view the step publishes once its run has returned.
 type Session struct {
 	cfg    Config
-	steps  int
-	agg    SessionAggregate
 	runner *sim.Runner      // continuous mode; nil until the first step
 	met    *MetricsRegistry // registry bound at runner materialization
 	flight *FlightRecorder  // recorder bound at runner materialization
@@ -47,8 +49,16 @@ type Session struct {
 	// snapshot: RestoreSession validates the header eagerly but defers
 	// the (replaying) sim restore to the first Step, which is where the
 	// trace writer and metrics registry become known.
-	pending     []byte
-	pendingNowH float64
+	pending []byte
+
+	// mu guards the published progress view. Only the stepping goroutine
+	// writes it, after a run returns; mu is never held across Run or
+	// Advance, so a getter never waits on a simulation.
+	mu       sync.Mutex
+	steps    int
+	agg      SessionAggregate
+	done     bool
+	simHours float64 // continuous timeline position
 }
 
 // SessionAggregate accumulates deterministic counters across a session's
@@ -87,27 +97,33 @@ func NewSession(cfg Config) (*Session, error) {
 func (s *Session) Config() Config { return s.cfg }
 
 // Steps returns how many steps have completed.
-func (s *Session) Steps() int { return s.steps }
+func (s *Session) Steps() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.steps
+}
 
 // Aggregate returns the counters accumulated over all completed steps.
-func (s *Session) Aggregate() SessionAggregate { return s.agg }
+func (s *Session) Aggregate() SessionAggregate {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.agg
+}
 
 // Done reports whether a continuous session has reached its configured
 // duration. Windowed sessions never complete.
 func (s *Session) Done() bool {
-	if s.runner != nil {
-		return s.runner.Done()
-	}
-	return s.pending != nil && s.pendingNowH >= s.cfg.DurationHours
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.done
 }
 
 // SimulatedHours returns a continuous session's position on its timeline
 // (0 for windowed sessions, whose aggregate tracks window sums instead).
 func (s *Session) SimulatedHours() float64 {
-	if s.runner != nil {
-		return s.runner.Now() / 3600
-	}
-	return s.pendingNowH
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.simHours
 }
 
 // Close releases the pooled solver state held by a continuous session's
@@ -182,6 +198,8 @@ func (s *Session) Step(opt StepOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.steps++
 	s.agg.Steps++
 	s.agg.SimulatedHours += cfg.DurationHours
@@ -242,10 +260,15 @@ func (s *Session) stepContinuous(opt StepOptions) (*Result, error) {
 	if opt.Hours > 0 {
 		target = s.runner.Now() + opt.Hours*3600
 	}
-	if err := s.runner.Advance(target); err != nil {
-		return nil, err
+	err := s.runner.Advance(target)
+	var simRes *sim.Result
+	if err == nil {
+		simRes, err = s.runner.Result()
 	}
-	simRes, err := s.runner.Result()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.done = s.runner.Done()
+	s.simHours = s.runner.Now() / 3600
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +279,7 @@ func (s *Session) stepContinuous(opt StepOptions) (*Result, error) {
 	s.steps++
 	s.agg = SessionAggregate{
 		Steps:           s.steps,
-		SimulatedHours:  s.runner.Now() / 3600,
+		SimulatedHours:  s.simHours,
 		Frames:          res.Frames,
 		Detections:      res.Detections,
 		Captures:        res.Captures,
@@ -334,7 +357,7 @@ func (s *Session) Checkpoint(w io.Writer) error {
 	} else if s.pending != nil {
 		// Restored but never stepped: the original snapshot is still the
 		// exact state, so re-emit it verbatim.
-		hdr.NowHours = s.pendingNowH
+		hdr.NowHours = s.simHours
 		snap.Write(s.pending)
 	}
 	hj, err := json.Marshal(hdr)
@@ -423,7 +446,8 @@ func RestoreSession(src io.Reader) (*Session, error) {
 			return nil, fmt.Errorf("eagleeye: checkpoint: %w", err)
 		}
 		s.pending = snap
-		s.pendingNowH = hdr.NowHours
+		s.simHours = hdr.NowHours
+		s.done = s.simHours >= s.cfg.DurationHours
 	}
 	return s, nil
 }

@@ -1,6 +1,9 @@
 package eagleeye
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestSessionRejectsBadConfig(t *testing.T) {
 	if _, err := NewSession(Config{}); err == nil {
@@ -122,5 +125,50 @@ func TestStepSeedDerivation(t *testing.T) {
 			t.Fatalf("step %d repeats seed %d", step, s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestSessionAggregateRace reads every progress getter in a loop while
+// the session steps, in both modes (continuous steps advance the runner
+// clock that Done and SimulatedHours report). Run under -race it pins
+// that the getters read only the view a step publishes after its run.
+func TestSessionAggregateRace(t *testing.T) {
+	for _, continuous := range []bool{false, true} {
+		sess, err := NewSession(Config{Satellites: 2, Targets: []Target{{Lat: 0, Lon: 0}},
+			DurationHours: 0.6, Seed: 7, Continuous: continuous})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		stop := make(chan struct{})
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_ = sess.Aggregate()
+				_ = sess.Steps()
+				_ = sess.Done()
+				_ = sess.SimulatedHours()
+			}
+		}()
+		for i := 0; i < 3; i++ {
+			if _, err := sess.Step(StepOptions{Hours: 0.2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if got := sess.Aggregate().Steps; got != 3 {
+			t.Errorf("continuous=%v: aggregate counts %d steps, want 3", continuous, got)
+		}
+		if continuous && !sess.Done() {
+			t.Error("continuous session not done after stepping its full duration")
+		}
+		sess.Close()
 	}
 }
