@@ -168,17 +168,19 @@ serve-smoke:
 	echo "serve-smoke: saturation produced 429 backpressure with zero drops"
 
 # Long-horizon durability smoke, mirroring the PR 7 acceptance criteria.
-# Phase 1: the week-long simulation (168 simulated hours with mid-week
-# fault events) must complete with the live heap under a fixed ceiling --
-# the test asserts it via runtime.MemStats, which catches any regression
-# back to per-frame result state. Phase 2: kill-restore-verify for
+# Phase 1: the week-long simulations -- a static world with mid-week
+# fault events, and a moving world of 20k targets re-indexed every 600 s
+# -- must complete with the live heap under a fixed ceiling. The tests
+# assert it via runtime.MemStats, which catches any regression back to
+# per-frame result state or to an index that keeps every bucket it has
+# built. Phase 2: kill-restore-verify for
 # eagleeyed -- create a continuous session with a scheduled fault, step
 # it partway, SIGTERM the daemon (spooling the session to
 # -checkpoint-dir), restart on the same spool, finish the resumed
 # session, and require its cumulative result to equal an uninterrupted
 # run of the same scenario on every deterministic field.
 longhorizon-smoke:
-	$(GO) test -run TestLongHorizonMemoryBounded -count=1 ./internal/sim
+	$(GO) test -run 'TestLongHorizonMemoryBounded|TestLongHorizonMovingMemoryBounded' -count=1 ./internal/sim
 	$(GO) build -o /tmp/eagleeyed ./cmd/eagleeyed
 	rm -rf /tmp/eagleeye-spool; \
 	SC='{"dataset":"ships","satellites":4,"duration_hours":2,"seed":7,"continuous":true,"events":[{"at_hours":0.5,"kind":"follower-fail"}]}'; \

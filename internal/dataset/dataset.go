@@ -149,7 +149,7 @@ func Ships(seed int64) *Set {
 		{lat: 12, lon: 45, spreadDeg: 2, weight: 1},     // Gulf of Aden
 	}
 	pts := sampleClustered(rng, ShipCount, lanes, 0.15, 70)
-	s := &Set{Name: "ships"}
+	s := &Set{Name: "ships", Targets: make([]Target, 0, len(pts))}
 	for i, p := range pts {
 		s.Targets = append(s.Targets, Target{ID: i, Pos: p, Value: value(rng)})
 	}
@@ -177,7 +177,7 @@ func Airplanes(seed int64) *Set {
 		{lat: -15, lon: -55, spreadDeg: 6, weight: 1}, // South America
 	}
 	pts := sampleClustered(rng, AirplaneCount, corridors, 0.1, 72)
-	s := &Set{Name: "airplanes", Moving: true}
+	s := &Set{Name: "airplanes", Moving: true, Targets: make([]Target, 0, len(pts))}
 	const day = 86400.0
 	for i, p := range pts {
 		appear := 0.0
@@ -227,7 +227,7 @@ func Lakes(seed int64, count int, minKM2, maxKM2 float64) *Set {
 	}
 	pts := sampleClustered(rng, count, districts, 0.08, 72)
 	name := fmt.Sprintf("lakes-%dk", count/1000)
-	s := &Set{Name: name}
+	s := &Set{Name: name, Targets: make([]Target, 0, len(pts))}
 	// Lake areas follow a power law (many small, few large).
 	alpha := 1.9
 	for i, p := range pts {
@@ -269,7 +269,7 @@ func OilTanks(seed int64) *Set {
 		{lat: 23, lon: 113.5, spreadDeg: 1.5, weight: 1},   // Pearl River
 	}
 	pts := sampleClustered(rng, OilTankFarmCount, hubs, 0.05, 60)
-	s := &Set{Name: "oiltanks"}
+	s := &Set{Name: "oiltanks", Targets: make([]Target, 0, len(pts))}
 	for i, p := range pts {
 		s.Targets = append(s.Targets, Target{ID: i, Pos: p, Value: value(rng)})
 	}

@@ -37,45 +37,101 @@ type Index struct {
 // atTime (targets inactive at that time are still indexed; callers filter
 // with ActiveAt). cellDeg 0 defaults to 2 degrees.
 func NewIndex(s *Set, cellDeg float64, atTime float64) *Index {
+	ix := newGrid(s, cellDeg)
+	ix.atTime = atTime
+	ix.fill(allTime, func(i int) geo.LatLon { return s.Targets[i].PosAt(atTime) }, make([]int64, len(s.Targets)))
+	return ix
+}
+
+// newGrid returns an empty index over s with the grid geometry of
+// cellDeg; fill populates it.
+func newGrid(s *Set, cellDeg float64) *Index {
 	if cellDeg <= 0 {
 		cellDeg = 2
 	}
-	ix := &Index{
+	return &Index{
 		set:     s,
 		cellDeg: cellDeg,
-		atTime:  atTime,
 		stride:  int64(math.Ceil(360/cellDeg)) + 1,
 		nrows:   int64(math.Ceil(180/cellDeg)) + 1,
 	}
+}
+
+// span is a closed range [lo, hi] of time buckets of the given width:
+// bucket k holds the times ts with floor(ts/width) == k. An index built
+// for a span holds only the targets that may be active in it.
+type span struct{ lo, hi, width float64 }
+
+// allTime is the span of NewIndex and of static sets: every target,
+// whatever its lifetime.
+var allTime = span{lo: math.Inf(-1), hi: math.Inf(1), width: 1}
+
+// skips reports whether t is inactive throughout the span: it appears
+// after the last bucket or vanishes before the first. Bucketing is
+// monotone in time, so ts >= AppearS implies ts's bucket is no earlier
+// than AppearS's (and likewise for VanishS): a skipped target is one that
+// ActiveAt rejects at every query time in the span. NaN bounds never
+// skip.
+func (sp span) skips(t *Target) bool {
+	return math.Floor(t.AppearS/sp.width) > sp.hi ||
+		(t.VanishS != 0 && math.Floor(t.VanishS/sp.width) < sp.lo)
+}
+
+// fill (re)builds the cells over the targets sp does not skip, each
+// placed at pos(i), reusing any storage a previous fill left behind. keys
+// is scratch with one entry per target. maxSpeed covers every target, so
+// a query's padding -- and with it the cells it scans, in order -- is the
+// same whichever targets a span skips; skipping only removes candidates
+// that ActiveAt would reject.
+func (ix *Index) fill(sp span, pos func(i int) geo.LatLon, keys []int64) {
 	// Counting-sort build: count members per cell, prefix-sum into the CSR
 	// offsets, then scatter indices in input order (so cell membership
 	// order matches the old per-cell appends exactly).
+	targets := ix.set.Targets
 	ncells := ix.nrows * ix.stride
-	keys := make([]int64, len(s.Targets))
-	offsets := make([]int32, ncells+1)
-	for i := range s.Targets {
-		t := &s.Targets[i]
+	if int64(len(ix.offsets)) == ncells+1 {
+		clear(ix.offsets)
+	} else {
+		ix.offsets = make([]int32, ncells+1)
+	}
+	offsets := ix.offsets
+	ix.maxSpeed = 0
+	n := 0
+	for i := range targets {
+		t := &targets[i]
 		if t.SpeedMS > ix.maxSpeed {
 			ix.maxSpeed = t.SpeedMS
 		}
-		p := t.PosAt(atTime)
+		if sp.skips(t) {
+			keys[i] = -1
+			continue
+		}
+		p := pos(i)
 		k := ix.key(p.Lat, p.Lon)
 		keys[i] = k
 		offsets[k+1]++
+		n++
 	}
+	// Shifted exclusive prefix sum: offsets[k+1] becomes the start of cell
+	// k, and the scatter advances it to the end -- which is the start of
+	// cell k+1 -- so no separate cursor array is needed.
+	start := int32(0)
 	for c := int64(1); c <= ncells; c++ {
-		offsets[c] += offsets[c-1]
+		cnt := offsets[c]
+		offsets[c] = start
+		start += cnt
 	}
-	arena := make([]int32, len(s.Targets))
-	cur := make([]int32, ncells)
-	copy(cur, offsets[:ncells])
-	for i, k := range keys {
-		arena[cur[k]] = int32(i)
-		cur[k]++
+	if cap(ix.arena) < n {
+		ix.arena = make([]int32, n)
 	}
-	ix.offsets = offsets
-	ix.arena = arena
-	return ix
+	ix.arena = ix.arena[:n]
+	for i, k := range keys[:len(targets)] {
+		if k < 0 {
+			continue
+		}
+		ix.arena[offsets[k+1]] = int32(i)
+		offsets[k+1]++
+	}
 }
 
 // cell returns cell k's member block. k must be in [0, nrows*stride).
@@ -206,18 +262,42 @@ func (ix *Index) appendRow(out []int32, row int64) []int32 {
 }
 
 // TimedIndex maintains per-time-bucket indices for moving target sets,
-// rebuilding lazily as the simulation advances. It is safe for concurrent
-// use: the parallel simulator shares one TimedIndex across worker
-// goroutines, so bucket construction is mutex-guarded (a completed Index
-// is immutable and read without locking).
+// building them lazily as the simulation advances. Bucket b holds only
+// the targets that may be active at some time in [b*bucketS,
+// (b+1)*bucketS), placed at the bucket start along courses cached per
+// target, so a bucket costs a fraction of a full-set NewIndex while every
+// query returns the same candidates in the same order once filtered by
+// ActiveAt. Static sets use one full-set bucket.
+//
+// Near, NearInto and PosAt are safe for concurrent use: the parallel
+// simulator shares one TimedIndex across worker goroutines, so bucket
+// construction is mutex-guarded (a completed Index is immutable and read
+// without locking). Retire recycles bucket storage and must not run
+// concurrently with queries.
 type TimedIndex struct {
 	set     *Set
 	cellDeg float64
 	bucketS float64
 
+	// courses caches every moving target's great-circle course. It is
+	// built on first use -- the first position off t = 0 -- so creating
+	// an index costs nothing up front.
+	coursesOnce sync.Once
+	courses     []geo.Course
+
 	mu      sync.RWMutex
 	buckets map[int64]*Index
+	// spare holds retired buckets whose storage later builds reuse; keys
+	// is the build scratch.
+	spare []*Index
+	keys  []int64
 }
+
+// maxSpare bounds the retired buckets kept for reuse. A window of a few
+// minutes retires and builds a bucket or two, which two spares cover; the
+// other buckets of a long window go to the garbage collector instead of
+// staying pinned.
+const maxSpare = 2
 
 // NewTimedIndex creates a lazily-populated timed index. bucketS 0 defaults
 // to 600 s (moving-target positions are re-indexed every ten minutes).
@@ -246,16 +326,82 @@ func (tx *TimedIndex) NearInto(p geo.LatLon, radiusM float64, ts float64, out []
 	ix := tx.buckets[b]
 	tx.mu.RUnlock()
 	if ix == nil {
-		// Double-checked build: another worker may have populated the
-		// bucket while we waited for the write lock.
-		tx.mu.Lock()
-		if ix = tx.buckets[b]; ix == nil {
-			ix = NewIndex(tx.set, tx.cellDeg, float64(b)*tx.bucketS)
-			tx.buckets[b] = ix
-		}
-		tx.mu.Unlock()
+		ix = tx.build(b)
 	}
 	return ix.NearInto(p, radiusM, ts, out)
+}
+
+// build returns bucket b, building it under the write lock unless another
+// worker got there first (double-checked: the caller's read-locked lookup
+// may be stale).
+func (tx *TimedIndex) build(b int64) *Index {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if ix := tx.buckets[b]; ix != nil {
+		return ix
+	}
+	var ix *Index
+	if n := len(tx.spare); n > 0 {
+		ix, tx.spare = tx.spare[n-1], tx.spare[:n-1]
+	} else {
+		ix = newGrid(tx.set, tx.cellDeg)
+	}
+	at := float64(b) * tx.bucketS
+	sp := allTime
+	if tx.set.Moving {
+		sp = span{lo: float64(b), hi: float64(b), width: tx.bucketS}
+	}
+	if len(tx.keys) < len(tx.set.Targets) {
+		tx.keys = make([]int64, len(tx.set.Targets))
+	}
+	ix.atTime = at
+	ix.fill(sp, func(i int) geo.LatLon { return tx.PosAt(int32(i), at) }, tx.keys)
+	tx.buckets[b] = ix
+	return ix
+}
+
+// PosAt returns target i's position at elapsed time ts, bit-identical to
+// Targets[i].PosAt(ts) but read off the cached course. It takes no lock,
+// so the simulator calls it once per candidate.
+func (tx *TimedIndex) PosAt(i int32, ts float64) geo.LatLon {
+	t := &tx.set.Targets[i]
+	if t.SpeedMS == 0 || ts == 0 {
+		return t.Pos
+	}
+	tx.coursesOnce.Do(tx.initCourses)
+	return tx.courses[i].At(t.SpeedMS * ts)
+}
+
+func (tx *TimedIndex) initCourses() {
+	tx.courses = make([]geo.Course, len(tx.set.Targets))
+	for i := range tx.set.Targets {
+		if t := &tx.set.Targets[i]; t.SpeedMS != 0 {
+			tx.courses[i] = geo.NewCourse(t.Pos, t.HeadingDeg)
+		}
+	}
+}
+
+// Retire drops the buckets of a moving set that end at or before ts,
+// keeping up to maxSpare of them for their storage. The simulator calls it
+// at each window boundary, since every later query is at or after the
+// boundary; a query into a retired bucket would simply rebuild it. Static
+// sets keep their single bucket. Retire must not run concurrently with
+// queries: a retired bucket's storage is handed to the next build.
+func (tx *TimedIndex) Retire(ts float64) {
+	if !tx.set.Moving {
+		return
+	}
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	for b, ix := range tx.buckets {
+		if float64(b+1)*tx.bucketS > ts {
+			continue
+		}
+		delete(tx.buckets, b)
+		if len(tx.spare) < maxSpare {
+			tx.spare = append(tx.spare, ix)
+		}
+	}
 }
 
 // Set returns the underlying target set.

@@ -61,7 +61,7 @@ func ReadJSON(r io.Reader) (*Set, error) {
 	if err := dec.Decode(&js); err != nil {
 		return nil, fmt.Errorf("dataset: decode: %w", err)
 	}
-	s := &Set{Name: js.Name, Moving: js.Moving}
+	s := &Set{Name: js.Name, Moving: js.Moving, Targets: make([]Target, 0, len(js.Targets))}
 	if s.Name == "" {
 		s.Name = "imported"
 	}

@@ -220,15 +220,43 @@ func InitialBearing(a, b LatLon) float64 {
 // along the given initial bearing (degrees clockwise from north) on the
 // mean-radius sphere.
 func Destination(p LatLon, bearingDeg, distM float64) LatLon {
-	delta := distM / EarthMeanRadius
+	return NewCourse(p, bearingDeg).At(distM)
+}
+
+// Course is a great-circle course from a start point at a fixed initial
+// bearing, with the trigonometry of the start latitude and the bearing
+// evaluated once. A moving target follows one course for its whole life,
+// so positions along it cost two sin/cos evaluations instead of six.
+type Course struct {
+	sinLat, cosLat float64 // start latitude
+	sinBrg, cosBrg float64 // initial bearing
+	lon            float64 // start longitude, radians
+}
+
+// NewCourse returns the course from p along bearingDeg (degrees clockwise
+// from north).
+func NewCourse(p LatLon, bearingDeg float64) Course {
 	theta := Deg2Rad(bearingDeg)
 	la1 := Deg2Rad(p.Lat)
-	lo1 := Deg2Rad(p.Lon)
-	sinLa2 := math.Sin(la1)*math.Cos(delta) + math.Cos(la1)*math.Sin(delta)*math.Cos(theta)
+	return Course{
+		sinLat: math.Sin(la1), cosLat: math.Cos(la1),
+		sinBrg: math.Sin(theta), cosBrg: math.Cos(theta),
+		lon: Deg2Rad(p.Lon),
+	}
+}
+
+// At returns the point distM meters along the course. It is the
+// spherical destination formula with the cached terms substituted in the
+// same evaluation order, so every position is bit-identical to evaluating
+// the formula from scratch.
+func (c Course) At(distM float64) LatLon {
+	delta := distM / EarthMeanRadius
+	sinD, cosD := math.Sin(delta), math.Cos(delta)
+	sinLa2 := c.sinLat*cosD + c.cosLat*sinD*c.cosBrg
 	la2 := math.Asin(sinLa2)
-	y := math.Sin(theta) * math.Sin(delta) * math.Cos(la1)
-	x := math.Cos(delta) - math.Sin(la1)*sinLa2
-	lo2 := lo1 + math.Atan2(y, x)
+	y := c.sinBrg * sinD * c.cosLat
+	x := cosD - c.sinLat*sinLa2
+	lo2 := c.lon + math.Atan2(y, x)
 	return LatLon{Lat: Rad2Deg(la2), Lon: Rad2Deg(lo2)}.Normalize()
 }
 

@@ -291,3 +291,88 @@ func TestStringers(t *testing.T) {
 		t.Error("empty Rect string")
 	}
 }
+
+// destinationOracle is the spherical destination formula as it stood
+// before Course cached the start point's trigonometry, every term
+// evaluated from scratch. It is kept verbatim as the bit-identity oracle
+// for Destination and Course.At.
+func destinationOracle(p LatLon, bearingDeg, distM float64) LatLon {
+	delta := distM / EarthMeanRadius
+	theta := Deg2Rad(bearingDeg)
+	la1 := Deg2Rad(p.Lat)
+	lo1 := Deg2Rad(p.Lon)
+	sinLa2 := math.Sin(la1)*math.Cos(delta) + math.Cos(la1)*math.Sin(delta)*math.Cos(theta)
+	la2 := math.Asin(sinLa2)
+	y := math.Sin(theta) * math.Sin(delta) * math.Cos(la1)
+	x := math.Cos(delta) - math.Sin(la1)*sinLa2
+	lo2 := lo1 + math.Atan2(y, x)
+	return LatLon{Lat: Rad2Deg(la2), Lon: Rad2Deg(lo2)}.Normalize()
+}
+
+func sameBits(a, b LatLon) bool {
+	return math.Float64bits(a.Lat) == math.Float64bits(b.Lat) &&
+		math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
+}
+
+// TestDestinationBitIdentical pins Destination and Course.At to the
+// from-scratch formula bit for bit (moving-target positions feed index
+// cells and capture tests, so a one-ulp drift could change a result):
+// a grid of poles, antimeridian and zero-distance cases, then 1M random
+// start points, bearings and distances, each also evaluated on a course
+// reused across several distances, as the index does.
+func TestDestinationBitIdentical(t *testing.T) {
+	check := func(p LatLon, brg, d float64) {
+		t.Helper()
+		want := destinationOracle(p, brg, d)
+		if got := Destination(p, brg, d); !sameBits(got, want) {
+			t.Fatalf("Destination(%v, %v, %v) = %#v, oracle %#v", p, brg, d, got, want)
+		}
+		if got := NewCourse(p, brg).At(d); !sameBits(got, want) {
+			t.Fatalf("NewCourse(%v, %v).At(%v) = %#v, oracle %#v", p, brg, d, got, want)
+		}
+	}
+	lats := []float64{-90, -89.9999999, -45, 0, 45, 89.9999999, 90}
+	lons := []float64{-180, -179.9999999, -90, 0, 90, 179.9999999, 180}
+	brgs := []float64{0, 45, 90, 180, 270, 359.9999999, -90, 720}
+	dists := []float64{0, 1e-9, 1, 180 * 600, 2e7, math.Pi * EarthMeanRadius, -5e5}
+	for _, lat := range lats {
+		for _, lon := range lons {
+			for _, brg := range brgs {
+				for _, d := range dists {
+					check(LatLon{Lat: lat, Lon: lon}, brg, d)
+				}
+			}
+		}
+	}
+
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 14
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(edges []float64, lo, hi float64) float64 {
+		if rng.Intn(8) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return lo + (hi-lo)*rng.Float64()
+	}
+	for i := 0; i < n; i++ {
+		p := LatLon{Lat: pick(lats, -90, 90), Lon: pick(lons, -180, 180)}
+		brg := pick(brgs, 0, 360)
+		// Log-spread distances from 0 m to past antipodal reach.
+		d := math.Expm1(rng.Float64() * 17)
+		if rng.Intn(8) == 0 {
+			d = dists[rng.Intn(len(dists))]
+		}
+		check(p, brg, d)
+		if i%64 == 0 {
+			c := NewCourse(p, brg)
+			for k := 1; k <= 8; k++ {
+				dk := d * float64(k) / 3
+				if got, want := c.At(dk), destinationOracle(p, brg, dk); !sameBits(got, want) {
+					t.Fatalf("reused course (%v, %v).At(%v) = %#v, oracle %#v", p, brg, dk, got, want)
+				}
+			}
+		}
+	}
+}

@@ -642,15 +642,16 @@ func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres 
 			// scratch is free here: the frame's filtered idx/pts live in
 			// their own buffers.
 			cands := st.candidatesNear(frame.ToGeodetic(c.Aim), frameRadius(swath, swath), absT)
+			targets := st.index.Set().Targets
 			for _, ci := range cands {
-				tgt := &st.index.Set().Targets[ci]
-				if !tgt.ActiveAt(absT) {
+				if !targets[ci].ActiveAt(absT) {
 					continue
 				}
-				if fp.Contains(frame.ToLocal(tgt.PosAt(absT))) {
+				pos := st.index.PosAt(ci, absT)
+				if fp.Contains(frame.ToLocal(pos)) {
 					st.captured[ci] = true
 					if st.cfg.RecaptureDedup {
-						st.capCells[capCellKey(tgt.PosAt(absT))] = true
+						st.capCells[capCellKey(pos)] = true
 					}
 				}
 			}

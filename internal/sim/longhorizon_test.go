@@ -102,3 +102,44 @@ func TestLongHorizonMemoryBounded(t *testing.T) {
 			d.Frames, len(d.Pinned), d.PinnedDropped)
 	}
 }
+
+// TestLongHorizonMovingMemoryBounded is the moving-world counterpart: a
+// week of 20k airplane-shaped targets advanced in daily windows. Moving
+// sets are re-indexed every 600 s, so an index that kept every bucket it
+// ever built would hold over a thousand of them by the end of the week
+// (~150 MiB here); retiring the buckets behind each window keeps the live
+// heap flat.
+func TestLongHorizonMovingMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("week-long simulation in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates heap measurements")
+	}
+	const (
+		horizonS    = 168 * 3600
+		windowS     = 24 * 3600
+		heapCeiling = 64 << 20
+	)
+	cfg := Config{
+		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 4},
+		App:           movingWorld(20000, 96, horizonS),
+		DurationS:     horizonS,
+		Seed:          1,
+	}
+	r := mustRunner(t, cfg)
+	var ms runtime.MemStats
+	for day := 1; day <= 7; day++ {
+		advance(t, r, float64(day)*windowS)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		t.Logf("day %d: live heap %d MiB", day, ms.HeapAlloc>>20)
+		if ms.HeapAlloc > heapCeiling {
+			t.Fatalf("day %d: live heap %d MiB exceeds %d MiB ceiling",
+				day, ms.HeapAlloc>>20, heapCeiling>>20)
+		}
+	}
+	if res := result(t, r); res.Captures == 0 || res.HighResCaptured == 0 {
+		t.Errorf("week-long moving run captured nothing: %+v", res)
+	}
+}

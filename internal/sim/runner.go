@@ -15,9 +15,12 @@ import (
 // can interleave simulation with snapshots, trace-sink swaps, and
 // mid-horizon queries. Advancing to the full duration in one window is
 // exactly Run; advancing in any sequence of windows produces the same
-// Result and trace bytes, because jobs keep their steppers, solver
+// Result and trace records, because jobs keep their steppers, solver
 // warm-start state and accumulators live between windows and the ordered
-// merge is repeated from scratch at every Result call.
+// merge is repeated from scratch at every Result call. Records are written
+// at each window boundary in group order, so with several groups a
+// windowed trace interleaves them window by window where a one-shot trace
+// lists each group's frames in one run.
 //
 // A Runner is not safe for concurrent use; one goroutine drives it.
 type Runner struct {
@@ -28,7 +31,8 @@ type Runner struct {
 	jobs   []simJob
 	tw     *traceWriter
 	nowS   float64
-	digest uint64
+	digest uint64 // scenarioDigest's cache, valid once hashed is set
+	hashed bool
 	failed error
 	closed bool
 }
@@ -96,7 +100,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 		sm:    sm,
 		tw:    newTraceWriter(cfg.Trace),
 	}
-	r.digest = configDigest(cfg, cons)
 
 	newState := func(i int) *runState {
 		st := newRunState(cfg, cons, r.index)
@@ -127,6 +130,18 @@ func NewRunner(cfg Config) (*Runner, error) {
 		sm.targetsTotal.Set(float64(len(cfg.App.Targets)))
 	}
 	return r, nil
+}
+
+// scenarioDigest returns the digest of the scenario identity a snapshot
+// is checked against (configDigest). It hashes every target, which costs
+// more than the rest of NewRunner, and only Snapshot and RestoreRunner
+// need it, so it is computed on first use.
+func (r *Runner) scenarioDigest() uint64 {
+	if !r.hashed {
+		r.digest = configDigest(r.cfg, r.cons)
+		r.hashed = true
+	}
+	return r.digest
 }
 
 // Now returns the simulated time the runner has advanced to.
@@ -180,6 +195,9 @@ func (r *Runner) Advance(untilS float64) error {
 			errs[i] = r.jobs[i].run(untilS)
 		})
 		r.nowS = untilS
+		// Every later frame, and every capture it schedules, is at or
+		// after nowS: index buckets that end by then are dead weight.
+		r.index.Retire(r.nowS)
 		r.drainTraces()
 		// First error in job order, not completion order, so parallel
 		// runs report the same error as sequential ones.

@@ -390,11 +390,10 @@ func (st *runState) filterInFrame(cands []int32, f geo.TangentFrame, w, h float6
 	maxD := frameRadius(w, h)
 	targets := st.index.Set().Targets
 	for _, ci := range cands {
-		tgt := &targets[ci]
-		if !tgt.ActiveAt(ts) {
+		if !targets[ci].ActiveAt(ts) {
 			continue
 		}
-		pos := tgt.PosAt(ts)
+		pos := st.index.PosAt(ci, ts)
 		if geo.GreatCircleDistance(pos, f.Origin) > maxD {
 			continue
 		}

@@ -444,7 +444,7 @@ func (r *Runner) Snapshot(w io.Writer) error {
 	bw.raw([]byte(snapMagic))
 	bw.u16(snapVersion)
 	bw.u16(0) // flags, reserved
-	bw.u64(r.digest)
+	bw.u64(r.scenarioDigest())
 	bw.f64(r.nowS)
 	bw.u32(uint32(len(r.jobs)))
 	for _, j := range r.jobs {
@@ -491,8 +491,8 @@ func RestoreRunner(cfg Config, src io.Reader) (*Runner, error) {
 		return nil, fmt.Errorf("sim: snapshot version %d, this build reads %d", v, snapVersion)
 	}
 	br.u16() // flags
-	if d := br.u64(); br.err == nil && d != r.digest {
-		return nil, fmt.Errorf("sim: snapshot was taken under a different scenario (digest %016x, want %016x)", d, r.digest)
+	if d, want := br.u64(), r.scenarioDigest(); br.err == nil && d != want {
+		return nil, fmt.Errorf("sim: snapshot was taken under a different scenario (digest %016x, want %016x)", d, want)
 	}
 	nowS := br.f64()
 	if br.err == nil && (math.IsNaN(nowS) || nowS < 0 || nowS > r.cfg.DurationS) {

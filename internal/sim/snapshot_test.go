@@ -304,11 +304,11 @@ func TestSnapshotRejects(t *testing.T) {
 // different timeline.
 func TestConfigDigestGolden(t *testing.T) {
 	_, cfg := snapWorld()
-	if got, want := mustRunner(t, cfg).digest, uint64(0x32e319f9a77e7bfb); got != want {
+	if got, want := mustRunner(t, cfg).scenarioDigest(), uint64(0x32e319f9a77e7bfb); got != want {
 		t.Errorf("default digest %#x, want %#x", got, want)
 	}
 	cfg.ShardTargets = 48
-	if got, want := mustRunner(t, cfg).digest, uint64(0x4bb7aad7b7c20050); got != want {
+	if got, want := mustRunner(t, cfg).scenarioDigest(), uint64(0x4bb7aad7b7c20050); got != want {
 		t.Errorf("sharded digest %#x, want %#x", got, want)
 	}
 }
