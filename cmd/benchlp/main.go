@@ -76,6 +76,9 @@ func main() {
 	flag.Parse()
 
 	instances := []instance{
+		// Shard scale: every frame-dense shard solve and simulator solve
+		// is this size, below the CoreAuto crossover, so it runs dense.
+		{"lp/sched_shard", func() *lp.Problem { return lp.GenSchedLP(8, 4, 8, 8, 1) }},
 		{"lp/sched_2k", func() *lp.Problem { return lp.GenSchedLP(100, 4, 6, 4, 1) }},
 		{"lp/cover_500", func() *lp.Problem { return lp.GenCoverLP(350, 500, 4, 1) }},
 	}

@@ -548,6 +548,10 @@ type tableau struct {
 	nartif  int
 	artbase int // first artificial column index
 	iters   int
+
+	// grow-only index scratch for the price and eliminate kernels.
+	rowIdx []int   // rows the kernel applies, ascending
+	colIdx []int32 // nonzero columns of the normalized pivot row
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -745,6 +749,8 @@ func (ws *Workspace) materializeDense(p *Problem) {
 	t.rhs = growFloats(t.rhs, m)
 	t.basis = growInts(t.basis, m)
 	t.cb = growFloats(t.cb, m)
+	t.rowIdx = growInts(t.rowIdx, m)
+	t.colIdx = growInt32s(t.colIdx, total)
 	t.inBasis = growBools(t.inBasis, total)
 	t.atUpper = growBools(t.atUpper, total)
 	t.rng = growFloats(t.rng, total)
@@ -870,30 +876,13 @@ func (t *tableau) optimize(ws *Workspace, obj []float64, maxIters int, phase1 bo
 	if !phase1 {
 		limit = t.artbase // artificials may not re-enter
 	}
-	cb := t.cb
 	red := ws.red
 	for iter := 0; ; iter++ {
 		if t.iters >= maxIters {
 			return StatusIterLimit, 0
 		}
 		t.iters++
-		for i := 0; i < t.m; i++ {
-			cb[i] = obj[t.basis[i]]
-		}
-		// Price every column in one row-major sweep: red = c - A^T cB
-		// (the tableau columns hold B^-1 A, so this is the reduced cost).
-		copy(red[:limit], obj[:limit])
-		for i := 0; i < t.m; i++ {
-			c := cb[i]
-			if c == 0 {
-				continue
-			}
-			ri := t.a[i][:limit]
-			rd := red[:len(ri)]
-			for j, v := range ri {
-				rd[j] -= c * v
-			}
-		}
+		t.price(obj, red, limit)
 		// Entering column: a nonbasic at its lower bound improves by
 		// increasing (red > 0); one at its upper bound by decreasing
 		// (red < 0). Dantzig normally; Bland (first eligible) when the
@@ -1005,8 +994,8 @@ func (t *tableau) objValue(obj []float64) float64 {
 // entering variable having travelled `step` from its current bound in
 // direction `dir`. The leaving variable exits at its lower bound, or at
 // its upper bound when leaveAtUpper is set. rhs is updated to the new
-// basic values directly (it holds values, not B^-1 b), then the matrix
-// gets the usual Gauss-Jordan elimination.
+// basic values directly (it holds values, not B^-1 b), then eliminate
+// applies the Gauss-Jordan step to the matrix.
 func (t *tableau) pivot(row, col int, dir, step float64, leaveAtUpper bool) {
 	for i := 0; i < t.m; i++ {
 		if i != row {
@@ -1021,28 +1010,110 @@ func (t *tableau) pivot(row, col int, dir, step float64, leaveAtUpper bool) {
 	lv := t.basis[row]
 	t.atUpper[lv] = leaveAtUpper
 
-	pr := t.a[row][:t.total]
-	inv := 1 / pr[col]
-	for j := range pr {
-		pr[j] *= inv
-	}
-	for i := 0; i < t.m; i++ {
-		if i == row {
-			continue
-		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
-		}
-		ri := t.a[i][:len(pr)]
-		for j, v := range pr {
-			ri[j] -= f * v
-		}
-	}
+	t.eliminate(row, col)
 	t.inBasis[lv] = false
 	t.basis[row] = col
 	t.inBasis[col] = true
 	t.atUpper[col] = false
+}
+
+// price sets red[:limit] to the reduced costs obj - A^T cB of the first
+// limit columns, where cB holds the objective of each row's basic column
+// (the tableau columns hold B^-1 A). Only rows whose basic cost is
+// nonzero contribute, four rows per pass over the columns. Within a pass
+// each column takes its four subtractions in ascending row order, as
+// separately rounded operations, so every reduced cost gets exactly the
+// operations, in exactly the order, of a one-row-at-a-time sweep: the
+// bits do not depend on the grouping.
+func (t *tableau) price(obj, red []float64, limit int) {
+	cb, rows := t.cb, t.rowIdx[:0]
+	for i := 0; i < t.m; i++ {
+		c := obj[t.basis[i]]
+		cb[i] = c
+		if c != 0 {
+			rows = append(rows, i)
+		}
+	}
+	rd := red[:limit]
+	copy(rd, obj[:limit])
+	k := 0
+	for ; k+4 <= len(rows); k += 4 {
+		i0, i1, i2, i3 := rows[k], rows[k+1], rows[k+2], rows[k+3]
+		c0, c1, c2, c3 := cb[i0], cb[i1], cb[i2], cb[i3]
+		r0 := t.a[i0][:len(rd)]
+		r1 := t.a[i1][:len(rd)]
+		r2 := t.a[i2][:len(rd)]
+		r3 := t.a[i3][:len(rd)]
+		for j := range rd {
+			rd[j] = rd[j] - c0*r0[j] - c1*r1[j] - c2*r2[j] - c3*r3[j]
+		}
+	}
+	for ; k < len(rows); k++ {
+		c := cb[rows[k]]
+		ri := t.a[rows[k]][:len(rd)]
+		for j, v := range ri {
+			rd[j] -= c * v
+		}
+	}
+}
+
+// eliminate is the Gauss-Jordan step shared by pivot, installBasis and
+// crashBasis: it scales row `row` by 1/a[row][col], then subtracts
+// a[i][col] times that row from every other row i whose entry in col is
+// nonzero, which leaves col a unit column. The rhs is the caller's: it
+// must be updated from the pre-elimination column before the call.
+//
+// Only the nonzero columns of the scaled pivot row are touched, four rows
+// per pass. Every entry that is touched gets the same single rounded
+// operation a full-row sweep gives it, so it keeps its exact bits. An
+// untouched entry is one where the pivot row holds +0 or -0, where the
+// full sweep would subtract a signed zero: a nonzero entry is unchanged
+// by that, and a zero entry stays a zero -- the only difference is that
+// a -0 the full sweep would turn into +0 stays -0. No decision the
+// simplex makes can see that sign: every test on a tableau or rhs entry
+// compares against +-eps, tests == 0 or compares magnitudes, the only
+// reciprocals are of chosen pivots (|w| > eps or > installTol), and the
+// solver never inspects a sign bit. So the pivots, and the results, are
+// the same as with the full-row sweep.
+func (t *tableau) eliminate(row, col int) {
+	pr := t.a[row][:t.total]
+	inv := 1 / pr[col]
+	nz := t.colIdx[:0]
+	for j, v := range pr {
+		v *= inv
+		pr[j] = v
+		if v != 0 {
+			nz = append(nz, int32(j))
+		}
+	}
+	rows := t.rowIdx[:0]
+	for i := 0; i < t.m; i++ {
+		if i != row && t.a[i][col] != 0 {
+			rows = append(rows, i)
+		}
+	}
+	k := 0
+	for ; k+4 <= len(rows); k += 4 {
+		r0 := t.a[rows[k]][:len(pr)]
+		r1 := t.a[rows[k+1]][:len(pr)]
+		r2 := t.a[rows[k+2]][:len(pr)]
+		r3 := t.a[rows[k+3]][:len(pr)]
+		f0, f1, f2, f3 := r0[col], r1[col], r2[col], r3[col]
+		for _, j := range nz {
+			v := pr[j]
+			r0[j] -= f0 * v
+			r1[j] -= f1 * v
+			r2[j] -= f2 * v
+			r3[j] -= f3 * v
+		}
+	}
+	for ; k < len(rows); k++ {
+		ri := t.a[rows[k]][:len(pr)]
+		f := ri[col]
+		for _, j := range nz {
+			ri[j] -= f * pr[j]
+		}
+	}
 }
 
 // evictArtificials pivots basic artificial variables (at value ~0 after a

@@ -350,6 +350,22 @@ func TestSparseCountersAndAuto(t *testing.T) {
 	}
 }
 
+// BenchmarkDenseSchedShard times the dense core on a shard-sized
+// scheduling LP (n = 228, m = 69, 126 iterations from the all-slack
+// basis): the size every frame-dense shard solve and simulator solve
+// runs at, below the sparseCrossover.
+func BenchmarkDenseSchedShard(b *testing.B) {
+	p := GenSchedLP(4, 6, 10, 8, 1)
+	ws := &Workspace{Core: CoreDense}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sol := ws.Solve(p); sol.Status != StatusOptimal {
+			b.Fatalf("status %v", sol.Status)
+		}
+	}
+}
+
 // BenchmarkSparseSchedShaped times the sparse core on a large
 // sched-shaped instance (~8.4k vars); the dense tableau at this size
 // would allocate a ~700MB tableau, so only the sparse engine runs here

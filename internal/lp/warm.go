@@ -86,26 +86,14 @@ func (ws *Workspace) crashBasis(p *Problem, x []float64) bool {
 			if pr < 0 {
 				return false
 			}
-			ri := t.a[pr][:t.total]
-			inv := 1 / ri[c]
-			for k := range ri {
-				ri[k] *= inv
-			}
-			t.rhs[pr] *= inv
+			// rhs first, from the column before elimination rewrites it.
+			t.rhs[pr] *= 1 / t.a[pr][c]
 			for r := 0; r < t.m; r++ {
-				if r == pr {
-					continue
+				if f := t.a[r][c]; r != pr && f != 0 {
+					t.rhs[r] -= f * t.rhs[pr]
 				}
-				f := t.a[r][c]
-				if f == 0 {
-					continue
-				}
-				rr := t.a[r][:len(ri)]
-				for k, v := range ri {
-					rr[k] -= f * v
-				}
-				t.rhs[r] -= f * t.rhs[pr]
 			}
+			t.eliminate(pr, c)
 			t.inBasis[t.basis[pr]] = false
 			t.basis[pr] = c
 			t.inBasis[c] = true
@@ -181,26 +169,14 @@ func (ws *Workspace) installBasis() bool {
 			t.a[i], t.a[pr] = t.a[pr], t.a[i]
 			t.rhs[i], t.rhs[pr] = t.rhs[pr], t.rhs[i]
 		}
-		ri := t.a[i][:t.total]
-		inv := 1 / ri[c]
-		for j := range ri {
-			ri[j] *= inv
-		}
-		t.rhs[i] *= inv
+		// rhs first, from the column before elimination rewrites it.
+		t.rhs[i] *= 1 / t.a[i][c]
 		for r := 0; r < m; r++ {
-			if r == i {
-				continue
+			if f := t.a[r][c]; r != i && f != 0 {
+				t.rhs[r] -= f * t.rhs[i]
 			}
-			f := t.a[r][c]
-			if f == 0 {
-				continue
-			}
-			rr := t.a[r][:len(ri)]
-			for j, v := range ri {
-				rr[j] -= f * v
-			}
-			t.rhs[r] -= f * t.rhs[i]
 		}
+		t.eliminate(i, c)
 	}
 	for j := 0; j < t.total; j++ {
 		t.inBasis[j] = false
@@ -269,9 +245,7 @@ func (ws *Workspace) dualRepair(maxPivots int) bool {
 
 func (ws *Workspace) dualRepairRun(maxPivots int) bool {
 	t := &ws.t
-	obj := t.obj
 	limit := t.artbase // phase-2 discipline: artificials may not enter
-	cb := t.cb
 	red := ws.red
 	for pivots := 0; pivots < maxPivots; pivots++ {
 		// Most-violated basic variable: below zero or above its range.
@@ -290,22 +264,7 @@ func (ws *Workspace) dualRepairRun(maxPivots int) bool {
 		if r < 0 {
 			return true
 		}
-		// Reduced costs: same pricing sweep as optimize.
-		for i := 0; i < t.m; i++ {
-			cb[i] = obj[t.basis[i]]
-		}
-		copy(red[:limit], obj[:limit])
-		for i := 0; i < t.m; i++ {
-			c := cb[i]
-			if c == 0 {
-				continue
-			}
-			ri := t.a[i][:limit]
-			rd := red[:len(ri)]
-			for j, v := range ri {
-				rd[j] -= c * v
-			}
-		}
+		t.price(t.obj, red, limit)
 		// Entering column: movement along its free direction must push the
 		// leaving basic toward the violated bound (sign test), and among
 		// the eligible the dual ratio |reduced cost| / |pivot| is minimized

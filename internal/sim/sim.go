@@ -108,7 +108,9 @@ type Config struct {
 	Events []Event
 	// Trace, when non-nil, receives one JSON line per processed leader
 	// frame (see TraceRecord). Records are emitted in group order, frames
-	// in time order within each group, regardless of Workers.
+	// in time order within each group, regardless of Workers. A Runner
+	// advanced in several windows applies that order per window and
+	// writes the windows one after another (window-major; see Runner).
 	Trace io.Writer
 	// Metrics, when non-nil, receives run metrics: event counters,
 	// per-stage wall-time breakdowns, solver activity, and progress

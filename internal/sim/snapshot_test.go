@@ -2,12 +2,16 @@ package sim
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"eagleeye/internal/constellation"
 	"eagleeye/internal/dataset"
+	"eagleeye/internal/geo"
 )
 
 // snapWorld is the differential scenario shared by the checkpoint tests:
@@ -54,10 +58,18 @@ func result(t *testing.T, r *Runner) *Result {
 
 // TestRunnerWindowedMatchesOneShot pins the windowing guarantee: any
 // sequence of Advance boundaries -- frame-aligned or not, including no-op
-// and duplicate boundaries -- produces the same Result and trace stream as
-// the one-shot Run.
+// and duplicate boundaries -- produces the same Result and the same trace
+// records as the one-shot Run, written window-major (see Runner): the
+// expected stream is the one-shot records reordered window by window,
+// groups in order within a window, frames in time order within a group.
+// The scenario is snapWorld's with targets near both poles, so every
+// group sees targets twice an orbit and groups half an orbit apart have
+// records in the same window; the test fails if no window holds records
+// from two groups, since only then can the order it pins differ from the
+// one-shot one.
 func TestRunnerWindowedMatchesOneShot(t *testing.T) {
 	_, cfg := snapWorld()
+	cfg.App = bipolarWorld(1200, 13)
 	var oneTr bytes.Buffer
 	one := cfg
 	one.Trace = &oneTr
@@ -69,7 +81,8 @@ func TestRunnerWindowedMatchesOneShot(t *testing.T) {
 	r := mustRunner(t, winCfg)
 	// Odd boundaries on purpose: mid-frame cuts, a repeat, and an
 	// overshoot past the duration (clamped).
-	for _, b := range []float64{601.5, 1800, 1800, 3777, 3600 * 1.5, 1e9} {
+	bounds := []float64{601.5, 1800, 1800, 3777, 3600 * 1.5, 1e9}
+	for _, b := range bounds {
 		advance(t, r, b)
 	}
 	if !r.Done() {
@@ -79,11 +92,74 @@ func TestRunnerWindowedMatchesOneShot(t *testing.T) {
 	if na, nb := normalized(oneRes), normalized(winRes); !reflect.DeepEqual(na, nb) {
 		t.Errorf("windowed result diverges from one-shot:\n%+v\nvs\n%+v", na, nb)
 	}
-	ta := decodeTrace(t, &oneTr)
-	tb := decodeTrace(t, &winTr)
-	if !reflect.DeepEqual(ta, tb) {
-		t.Errorf("windowed trace diverges: %d vs %d records", len(ta), len(tb))
+	want, mixed := windowMajor(decodeTrace(t, &oneTr), bounds, cfg.DurationS)
+	if !mixed {
+		t.Fatal("no window holds records from two groups: the scenario cannot tell window-major from group-major")
 	}
+	got := decodeTrace(t, &winTr)
+	if len(got) != len(want) {
+		t.Fatalf("windowed trace has %d records, one-shot %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("windowed trace record %d is %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// windowMajor reorders one-shot trace records into the order a Runner
+// advanced through bounds writes them: window by window, groups in order
+// within a window, frames in time order within a group. A window holds
+// the frames strictly before its boundary (clamped to durationS) and not
+// before the previous one. mixed reports whether some window holds
+// records from more than one group.
+func windowMajor(recs []TraceRecord, bounds []float64, durationS float64) (ordered []TraceRecord, mixed bool) {
+	window := func(ts float64) int {
+		for k, b := range bounds {
+			if ts < math.Min(b, durationS) {
+				return k
+			}
+		}
+		return len(bounds)
+	}
+	ordered = append([]TraceRecord(nil), recs...)
+	sort.SliceStable(ordered, func(a, b int) bool {
+		wa, wb := window(ordered[a].TimeS), window(ordered[b].TimeS)
+		if wa != wb {
+			return wa < wb
+		}
+		if ordered[a].Group != ordered[b].Group {
+			return ordered[a].Group < ordered[b].Group
+		}
+		return ordered[a].Frame < ordered[b].Frame
+	})
+	for i := 1; i < len(ordered); i++ {
+		if window(ordered[i].TimeS) == window(ordered[i-1].TimeS) && ordered[i].Group != ordered[i-1].Group {
+			mixed = true
+		}
+	}
+	return ordered, mixed
+}
+
+// bipolarWorld scatters static targets in both near-polar bands, where
+// the paper orbit's ground tracks converge. Groups evenly phased in one
+// plane half an orbit apart pass opposite poles at about the same time,
+// so their frames with targets overlap in time.
+func bipolarWorld(n int, seed int64) *dataset.Set {
+	rng := rand.New(rand.NewSource(seed))
+	s := &dataset.Set{Name: "bipolar"}
+	for i := 0; i < n; i++ {
+		lat := 78 + rng.Float64()*4
+		if i%2 == 1 {
+			lat = -lat
+		}
+		s.Targets = append(s.Targets, dataset.Target{
+			ID:    i,
+			Pos:   geo.LatLon{Lat: lat, Lon: rng.Float64()*360 - 180}.Normalize(),
+			Value: 0.5 + 0.5*rng.Float64(),
+		})
+	}
+	return s
 }
 
 // TestRunnerMidRunResultRepeatable pins that Result is a pure query: two
