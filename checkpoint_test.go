@@ -2,7 +2,12 @@ package eagleeye
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -192,6 +197,39 @@ func TestRestoreRejectsJunk(t *testing.T) {
 	}
 	if _, err := RestoreSession(strings.NewReader("EESESSV1")); err == nil {
 		t.Error("truncated checkpoint accepted")
+	}
+}
+
+// TestRestoreBoundsAllocation: a length field read from the stream must
+// not size an allocation on its own. A body that claims a 256 MiB header,
+// or a valid header followed by a claimed 256 MiB snapshot, and then ends
+// must fail on EOF having allocated in proportion to the bytes received.
+func TestRestoreBoundsAllocation(t *testing.T) {
+	var header bytes.Buffer
+	header.WriteString(sessMagic)
+	header.Write([]byte{0x10, 0, 0, 0}) // 1<<28 = maxCheckpointHeader
+	cfg := contCfg(1)
+	cfg.Targets = benchWorld(5, 1)
+	hj, err := json.Marshal(sessionHeader{Config: cfg, HasSnapshot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot bytes.Buffer
+	snapshot.WriteString(sessMagic)
+	binary.Write(&snapshot, binary.BigEndian, uint32(len(hj)))
+	snapshot.Write(hj)
+	binary.Write(&snapshot, binary.BigEndian, uint64(maxCheckpointHeader))
+	for name, body := range map[string][]byte{"header length": header.Bytes(), "snapshot length": snapshot.Bytes()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RestoreSession(bytes.NewReader(body))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("%s: error %v, want the stream's EOF", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: restoring a %d-byte body allocated %d bytes, want < 1 MiB", name, len(body), got)
+		}
 	}
 }
 

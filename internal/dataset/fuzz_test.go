@@ -158,11 +158,12 @@ func FuzzNearConsistency(f *testing.F) {
 
 // FuzzTimedIndexSpanDifferential checks the moving-set index against the
 // full-set build it replaces. A TimedIndex bucket indexes only the targets
-// alive in it, at positions read off cached courses, and retired buckets
-// hand their storage to later builds; yet every query, filtered by
-// ActiveAt as the simulator filters it, must return exactly what a
-// full-set NewIndex at the bucket start returns -- the same targets in
-// the same order -- and PosAt must match Target.PosAt bit for bit.
+// alive in it, keyed from cached unit-vector courses, and retired buckets
+// hand their storage to later builds; yet every cell must hold exactly the
+// live targets a full-set NewIndex at the bucket start puts there, so
+// every query, filtered by ActiveAt as the simulator filters it, returns
+// the same targets in the same order. Outside must never reject a target
+// whose Target.PosAt lies within the query radius.
 // Queries walk forward in time with a Retire at or before each one, the
 // simulator's window pattern, and every few steps look back a bucket,
 // often into one already retired, which must rebuild identically.
@@ -177,6 +178,19 @@ func FuzzTimedIndexSpanDifferential(f *testing.F) {
 	// Bucket edges where k*width and floor(ts/width) round apart: a live
 	// test on [k*width, (k+1)*width) times drops a target active here.
 	f.Add(int64(-202), -38.92638888888889, -111.0, 62538.0, 479.0748299319729, 0.0, 9.142857142857142, 52.400000000000006)
+	// Cell sizes whose edges -90 + k*cellDeg and -180 + k*cellDeg round,
+	// so targets placed on an edge are contested between two cells; the
+	// simulator's 2-degree grid on the seam column; courses that start at
+	// a pole and reach mid-latitudes by the bucket start; the 10-degree
+	// grid, whose top row edge lies past +90; and the polar caps.
+	f.Add(int64(9), 45.0, 100.0, 400e3, 3000.0, 0.5, 0.7, 600.0)
+	f.Add(int64(10), -60.0, -179.9, 800e3, 86400.0, 0.2, 1.7, 600.0)
+	f.Add(int64(11), 88.5, 45.0, 1e6, 5400.0, 0.7, 2.3, 600.0)
+	f.Add(int64(12), -89.9, 0.0, 2e6, 1800.0, 1.0, 9.142857142857142, 300.0)
+	f.Add(int64(13), 10.0, 180.0, 200e3, 600.0, 0.0, 2.0, 600.0)
+	f.Add(int64(14), 33.3, -33.3, 300e3, 1e5, 0.5, 3.6, 600.0)
+	f.Add(int64(15), 0.0, 0.0, 5e6, 7777.0, 0.5, 10.0, 3600.0)
+	f.Add(int64(16), -87.5, 120.0, 1.5e6, 43210.0, 0.9, 0.55, 900.0)
 	f.Fuzz(func(t *testing.T, seed int64, lat, lon, radiusM, ts, retireFrac, cellDeg, bucketS float64) {
 		if !(lat >= -90 && lat <= 90) || !(lon >= -360 && lon <= 360) {
 			t.Skip()
@@ -190,11 +204,22 @@ func FuzzTimedIndexSpanDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		p := geo.LatLon{Lat: lat, Lon: lon}.Normalize()
 		s := spanFuzzSet(rng, p, ts, bucketS)
+		addBoundaryTargets(s, seed, ts, cellDeg, bucketS)
 		tx := NewTimedIndex(s, cellDeg, bucketS)
+		// offZero records a bucket built off t = 0, where moving targets
+		// are keyed from their courses: the pole-start targets there always
+		// take the exact fallback, and exact counts it.
+		offZero := false
+		defer func() {
+			if offZero && tx.exact == 0 {
+				t.Errorf("no key took the exact fallback")
+			}
+		}()
 		check := func(p geo.LatLon, r, tq float64) {
 			t.Helper()
 			start := float64(int64(math.Floor(tq/bucketS))) * bucketS
-			want := activeAt(s, NewIndex(s, cellDeg, start).NearInto(p, r, tq, nil), tq)
+			full := NewIndex(s, cellDeg, start)
+			want := activeAt(s, full.NearInto(p, r, tq, nil), tq)
 			got := activeAt(s, tx.NearInto(p, r, tq, nil), tq)
 			if len(got) != len(want) {
 				t.Fatalf("t=%v: %d active candidates, full-set index %d", tq, len(got), len(want))
@@ -204,10 +229,14 @@ func FuzzTimedIndexSpanDifferential(f *testing.F) {
 					t.Fatalf("t=%v: candidate %d is %d, full-set index has %d", tq, i, got[i], want[i])
 				}
 			}
+			checkBucket(t, tx, full, tq)
+			if start != 0 {
+				offZero = true
+			}
+			c := NewCap(p, r)
 			for i := range s.Targets {
-				a, b := tx.PosAt(int32(i), tq), s.Targets[i].PosAt(tq)
-				if math.Float64bits(a.Lat) != math.Float64bits(b.Lat) || math.Float64bits(a.Lon) != math.Float64bits(b.Lon) {
-					t.Fatalf("t=%v: PosAt(%d) = %#v, Target.PosAt %#v", tq, i, a, b)
+				if d := geo.GreatCircleDistance(s.Targets[i].PosAt(tq), p); d <= r && tx.Outside(int32(i), tq, &c) {
+					t.Fatalf("t=%v: Outside rejects target %d at %.3f m of a %.3f m cap", tq, i, d, r)
 				}
 			}
 		}
@@ -268,6 +297,115 @@ func spanFuzzSet(rng *rand.Rand, center geo.LatLon, ts, bucketS float64) *Set {
 		s.Targets = append(s.Targets, tgt)
 	}
 	return s
+}
+
+// addBoundaryTargets appends live targets on the grid's contested
+// positions at the start of ts's bucket: within 1e-9 degrees of row and
+// column edges, on the antimeridian and in the seam column, poleward of
+// +-86 degrees, and on courses that start at a pole. A moving target is
+// placed by walking back along its course from the boundary point, so it
+// reaches the point at the bucket start; a still one sits on the point.
+// The targets come from their own generator, so the targets and query
+// walk an earlier seed produced are unchanged.
+func addBoundaryTargets(s *Set, seed int64, ts, cellDeg, bucketS float64) {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	at := float64(int64(math.Floor(ts/bucketS))) * bucketS
+	rows := int(math.Ceil(180/cellDeg)) + 1
+	cols := int(math.Ceil(360/cellDeg)) + 1
+	offsets := []float64{0, 1e-12, -1e-12, 1e-10, -1e-9}
+	near := func(edge float64) float64 { return edge + offsets[rng.Intn(len(offsets))] }
+	rowEdge := func() float64 { return near(-90 + float64(rng.Intn(rows))*cellDeg) }
+	colEdge := func() float64 { return near(-180 + float64(rng.Intn(cols))*cellDeg) }
+	for i := 0; i < 150; i++ {
+		q := geo.LatLon{Lat: rng.Float64()*176 - 88, Lon: rng.Float64()*360 - 180}
+		fromPole := false
+		switch i % 6 {
+		case 0:
+			q.Lat = rowEdge()
+		case 1:
+			q.Lon = colEdge()
+		case 2:
+			q.Lat, q.Lon = rowEdge(), colEdge()
+		case 3:
+			q.Lon = []float64{180, -180, near(180), near(-180), near(-180 + float64(cols-2)*cellDeg)}[rng.Intn(5)]
+		case 4:
+			q.Lat = math.Copysign(86+rng.Float64()*4, rng.Float64()-0.5)
+		case 5:
+			q.Lat = []float64{90, -90, 89.99999, -89.9999}[rng.Intn(4)]
+			fromPole = true
+		}
+		q = q.Normalize()
+		tgt := Target{ID: len(s.Targets), Pos: q, HeadingDeg: rng.Float64() * 360, Value: 1, AppearS: at - bucketS}
+		if fromPole || rng.Intn(4) > 0 {
+			tgt.SpeedMS = 180 + rng.Float64()*120
+		}
+		if tgt.SpeedMS != 0 && !fromPole {
+			tgt.Pos, tgt.HeadingDeg = walkBack(q, tgt.HeadingDeg, tgt.SpeedMS*at)
+		}
+		s.Targets = append(s.Targets, tgt)
+	}
+}
+
+// walkBack returns the start point and initial bearing of the course that
+// passes through q on bearing brgDeg after travelling distM: q's own great
+// circle, stepped back by distM, with the bearing it has there.
+func walkBack(q geo.LatLon, brgDeg, distM float64) (geo.LatLon, float64) {
+	unit := func(p geo.LatLon) (u, north, east geo.Vec3) {
+		sinLat, cosLat := math.Sincos(geo.Deg2Rad(p.Lat))
+		sinLon, cosLon := math.Sincos(geo.Deg2Rad(p.Lon))
+		return geo.Vec3{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat},
+			geo.Vec3{X: -sinLat * cosLon, Y: -sinLat * sinLon, Z: cosLat},
+			geo.Vec3{X: -sinLon, Y: cosLon}
+	}
+	u, north, east := unit(q)
+	sinB, cosB := math.Sincos(geo.Deg2Rad(brgDeg))
+	dir := north.Scale(cosB).Add(east.Scale(sinB))
+	sinD, cosD := math.Sincos(distM / geo.EarthMeanRadius)
+	p0 := u.Scale(cosD).Sub(dir.Scale(sinD))
+	tangent := u.Scale(sinD).Add(dir.Scale(cosD))
+	start := geo.LatLon{Lat: geo.Rad2Deg(math.Asin(p0.Z)), Lon: geo.Rad2Deg(math.Atan2(p0.Y, p0.X))}.Normalize()
+	_, north, east = unit(start)
+	return start, geo.Rad2Deg(math.Atan2(tangent.Dot(east), tangent.Dot(north)))
+}
+
+// checkBucket compares every cell of tx's bucket for time tq with the same
+// cell of full, a full-set NewIndex at the bucket start, keeping only the
+// targets live in the bucket: the same targets, in the same order. A
+// target keyed into a wrong cell shows here even when no query reaches
+// that cell.
+func checkBucket(t *testing.T, tx *TimedIndex, full *Index, tq float64) {
+	t.Helper()
+	b := int64(math.Floor(tq / tx.bucketS))
+	tx.mu.RLock()
+	ix := tx.buckets[b]
+	tx.mu.RUnlock()
+	if ix == nil {
+		t.Fatalf("t=%v: bucket %d not built", tq, b)
+	}
+	for k := int64(0); k < ix.nrows*ix.stride; k++ {
+		got := ix.cell(k)
+		n := 0
+		for _, i := range full.cell(k) {
+			if !liveIn(&tx.set.Targets[i], b, tx.bucketS) {
+				continue
+			}
+			if n >= len(got) || got[n] != i {
+				t.Fatalf("t=%v: cell %d differs from the full-set index at member %d (target %d %#v)", tq, k, n, i, tx.set.Targets[i])
+			}
+			n++
+		}
+		if n != len(got) {
+			t.Fatalf("t=%v: cell %d holds %d targets, full-set index %d live", tq, k, len(got), n)
+		}
+	}
+}
+
+// liveIn reports whether t may be active at some time in bucket b of the
+// given width, judged on the bucket each time floors to: it appears no
+// later than b and vanishes no earlier.
+func liveIn(t *Target, b int64, width float64) bool {
+	return !(math.Floor(t.AppearS/width) > float64(b) ||
+		(t.VanishS != 0 && math.Floor(t.VanishS/width) < float64(b)))
 }
 
 // activeAt keeps the candidates active at ts, in order.

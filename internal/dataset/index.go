@@ -39,7 +39,7 @@ type Index struct {
 func NewIndex(s *Set, cellDeg float64, atTime float64) *Index {
 	ix := newGrid(s, cellDeg)
 	ix.atTime = atTime
-	ix.fill(allTime, func(i int) geo.LatLon { return s.Targets[i].PosAt(atTime) }, make([]int64, len(s.Targets)))
+	ix.fill(func(i int) int64 { return ix.keyOf(s.Targets[i].PosAt(atTime)) }, make([]int64, len(s.Targets)))
 	return ix
 }
 
@@ -57,33 +57,13 @@ func newGrid(s *Set, cellDeg float64) *Index {
 	}
 }
 
-// span is a closed range [lo, hi] of time buckets of the given width:
-// bucket k holds the times ts with floor(ts/width) == k. An index built
-// for a span holds only the targets that may be active in it.
-type span struct{ lo, hi, width float64 }
-
-// allTime is the span of NewIndex and of static sets: every target,
-// whatever its lifetime.
-var allTime = span{lo: math.Inf(-1), hi: math.Inf(1), width: 1}
-
-// skips reports whether t is inactive throughout the span: it appears
-// after the last bucket or vanishes before the first. Bucketing is
-// monotone in time, so ts >= AppearS implies ts's bucket is no earlier
-// than AppearS's (and likewise for VanishS): a skipped target is one that
-// ActiveAt rejects at every query time in the span. NaN bounds never
-// skip.
-func (sp span) skips(t *Target) bool {
-	return math.Floor(t.AppearS/sp.width) > sp.hi ||
-		(t.VanishS != 0 && math.Floor(t.VanishS/sp.width) < sp.lo)
-}
-
-// fill (re)builds the cells over the targets sp does not skip, each
-// placed at pos(i), reusing any storage a previous fill left behind. keys
-// is scratch with one entry per target. maxSpeed covers every target, so
-// a query's padding -- and with it the cells it scans, in order -- is the
-// same whichever targets a span skips; skipping only removes candidates
-// that ActiveAt would reject.
-func (ix *Index) fill(sp span, pos func(i int) geo.LatLon, keys []int64) {
+// fill (re)builds the cells, placing target i in cell key(i) or, when
+// key(i) is negative, in none, and reusing any storage a previous fill
+// left behind. keys is scratch with one entry per target. maxSpeed covers
+// every target, so a query's padding -- and with it the cells it scans,
+// in order -- is the same whichever targets a bucket leaves out; a bucket
+// leaves out only targets that ActiveAt would reject.
+func (ix *Index) fill(key func(i int) int64, keys []int64) {
 	// Counting-sort build: count members per cell, prefix-sum into the CSR
 	// offsets, then scatter indices in input order (so cell membership
 	// order matches the old per-cell appends exactly).
@@ -98,17 +78,14 @@ func (ix *Index) fill(sp span, pos func(i int) geo.LatLon, keys []int64) {
 	ix.maxSpeed = 0
 	n := 0
 	for i := range targets {
-		t := &targets[i]
-		if t.SpeedMS > ix.maxSpeed {
-			ix.maxSpeed = t.SpeedMS
+		if v := targets[i].SpeedMS; v > ix.maxSpeed {
+			ix.maxSpeed = v
 		}
-		if sp.skips(t) {
-			keys[i] = -1
+		k := key(i)
+		keys[i] = k
+		if k < 0 {
 			continue
 		}
-		p := pos(i)
-		k := ix.key(p.Lat, p.Lon)
-		keys[i] = k
 		offsets[k+1]++
 		n++
 	}
@@ -141,6 +118,9 @@ func (ix *Index) cell(k int64) []int32 {
 
 // Set returns the underlying target set.
 func (ix *Index) Set() *Set { return ix.set }
+
+// keyOf returns the cell key of position p.
+func (ix *Index) keyOf(p geo.LatLon) int64 { return ix.key(p.Lat, p.Lon) }
 
 func (ix *Index) key(lat, lon float64) int64 {
 	r := int64(math.Floor((lat + 90) / ix.cellDeg))
@@ -264,12 +244,14 @@ func (ix *Index) appendRow(out []int32, row int64) []int32 {
 // TimedIndex maintains per-time-bucket indices for moving target sets,
 // building them lazily as the simulation advances. Bucket b holds only
 // the targets that may be active at some time in [b*bucketS,
-// (b+1)*bucketS), placed at the bucket start along courses cached per
-// target, so a bucket costs a fraction of a full-set NewIndex while every
-// query returns the same candidates in the same order once filtered by
-// ActiveAt. Static sets use one full-set bucket.
+// (b+1)*bucketS), each keyed into its cell at the bucket start from a
+// unit-vector course cached per moving target (see track), so a bucket
+// costs a fraction of a full-set NewIndex. Every cell holds exactly the live
+// targets a full-set NewIndex at the bucket start puts there, in the same
+// order, so a query filtered by ActiveAt returns the same candidates.
+// Static sets use one full-set bucket and build no cache.
 //
-// Near, NearInto and PosAt are safe for concurrent use: the parallel
+// Near, NearInto and Outside are safe for concurrent use: the parallel
 // simulator shares one TimedIndex across worker goroutines, so bucket
 // construction is mutex-guarded (a completed Index is immutable and read
 // without locking). Retire recycles bucket storage and must not run
@@ -279,11 +261,14 @@ type TimedIndex struct {
 	cellDeg float64
 	bucketS float64
 
-	// courses caches every moving target's great-circle course. It is
-	// built on first use -- the first position off t = 0 -- so creating
-	// an index costs nothing up front.
-	coursesOnce sync.Once
-	courses     []geo.Course
+	// tracks caches every moving target's course and edges the grid's
+	// cell boundaries, both in unit-vector form. They are built on first
+	// use -- the first bucket build off t = 0 or Outside call -- so
+	// creating an index costs nothing up front; static sets never build
+	// them.
+	tracksOnce sync.Once
+	tracks     []track
+	edges      cellEdges
 
 	mu      sync.RWMutex
 	buckets map[int64]*Index
@@ -291,6 +276,10 @@ type TimedIndex struct {
 	// is the build scratch.
 	spare []*Index
 	keys  []int64
+	// exact counts the keys of moving targets that fell back from the
+	// unit-vector test to Target.PosAt; tests read it to show that the
+	// fallback runs.
+	exact int
 }
 
 // maxSpare bounds the retired buckets kept for reuse. A window of a few
@@ -347,38 +336,280 @@ func (tx *TimedIndex) build(b int64) *Index {
 		ix = newGrid(tx.set, tx.cellDeg)
 	}
 	at := float64(b) * tx.bucketS
-	sp := allTime
-	if tx.set.Moving {
-		sp = span{lo: float64(b), hi: float64(b), width: tx.bucketS}
-	}
 	if len(tx.keys) < len(tx.set.Targets) {
 		tx.keys = make([]int64, len(tx.set.Targets))
 	}
 	ix.atTime = at
-	ix.fill(sp, func(i int) geo.LatLon { return tx.PosAt(int32(i), at) }, tx.keys)
+	if tx.set.Moving {
+		if at != 0 {
+			tx.tracksOnce.Do(tx.initTracks)
+		}
+		ix.fill(func(i int) int64 { return tx.keyAt(ix, i, float64(b), at) }, tx.keys)
+	} else {
+		ix.fill(func(i int) int64 { return ix.keyOf(tx.set.Targets[i].PosAt(at)) }, tx.keys)
+	}
 	tx.buckets[b] = ix
 	return ix
 }
 
-// PosAt returns target i's position at elapsed time ts, bit-identical to
-// Targets[i].PosAt(ts) but read off the cached course. It takes no lock,
-// so the simulator calls it once per candidate.
-func (tx *TimedIndex) PosAt(i int32, ts float64) geo.LatLon {
+// keyAt returns moving target i's cell in ix, the index of bucket b, at
+// the bucket start at. It is -1 when the target appears after the bucket
+// or vanishes before it: bucketing is monotone in time, so ts >= AppearS
+// implies ts's bucket is no earlier than AppearS's (and likewise for
+// VanishS), and ActiveAt rejects such a target at every time in the
+// bucket. NaN bounds never leave a target out. Otherwise it is the cell
+// of Target.PosAt(at), read off the target's unit-vector course unless
+// the position lies too close to a cell edge (or a pole) for the cheap
+// test to be sure. Still targets, and every target at t = 0, sit at Pos,
+// which keys without trigonometry. Callers hold tx.mu.
+func (tx *TimedIndex) keyAt(ix *Index, i int, b, at float64) int64 {
 	t := &tx.set.Targets[i]
-	if t.SpeedMS == 0 || ts == 0 {
-		return t.Pos
+	if math.Floor(t.AppearS/tx.bucketS) > b || (t.VanishS != 0 && math.Floor(t.VanishS/tx.bucketS) < b) {
+		return -1
 	}
-	tx.coursesOnce.Do(tx.initCourses)
-	return tx.courses[i].At(t.SpeedMS * ts)
+	if t.SpeedMS != 0 && at != 0 {
+		if tr := &tx.tracks[i]; !tr.nearPole() {
+			if k, ok := tx.edges.key(tr.at(t.SpeedMS*at), ix.stride); ok {
+				return k
+			}
+		}
+		tx.exact++
+	}
+	return ix.keyOf(t.PosAt(at))
 }
 
-func (tx *TimedIndex) initCourses() {
-	tx.courses = make([]geo.Course, len(tx.set.Targets))
+// Outside reports whether target i's position at elapsed time ts provably
+// lies outside c, judged from its unit-vector course by chord distance.
+// False means the target may be inside: the caller applies its exact test
+// to Target.PosAt(ts). Static sets, still targets and courses starting
+// near a pole are never judged here.
+func (tx *TimedIndex) Outside(i int32, ts float64, c *Cap) bool {
+	t := &tx.set.Targets[i]
+	if !tx.set.Moving || t.SpeedMS == 0 {
+		return false
+	}
+	tx.tracksOnce.Do(tx.initTracks)
+	tr := &tx.tracks[i]
+	if tr.nearPole() {
+		return false
+	}
+	d := tr.at(t.SpeedMS * ts).Sub(c.center)
+	return d.Dot(d) > c.chord2
+}
+
+func (tx *TimedIndex) initTracks() {
+	tx.tracks = make([]track, len(tx.set.Targets))
 	for i := range tx.set.Targets {
 		if t := &tx.set.Targets[i]; t.SpeedMS != 0 {
-			tx.courses[i] = geo.NewCourse(t.Pos, t.HeadingDeg)
+			tx.tracks[i] = newTrack(t.Pos, t.HeadingDeg)
 		}
 	}
+	tx.edges = newCellEdges(tx.cellDeg)
+}
+
+// track is a moving target's great circle as two unit vectors
+// (Earth-centred, x toward lon 0 on the equator, z toward the north
+// pole): a is the start point and b the initial direction of travel, so
+// after travelling distM the target is at a·cos δ + b·sin δ with δ =
+// distM/EarthMeanRadius -- the point geo.Destination computes, up to
+// rounding, without its asin and atan2.
+type track struct{ a, b geo.Vec3 }
+
+func newTrack(p geo.LatLon, bearingDeg float64) track {
+	sinLat, cosLat := math.Sincos(geo.Deg2Rad(p.Lat))
+	sinLon, cosLon := math.Sincos(geo.Deg2Rad(p.Lon))
+	sinBrg, cosBrg := math.Sincos(geo.Deg2Rad(bearingDeg))
+	// b = north·cos(bearing) + east·sin(bearing) at the start point.
+	return track{
+		a: geo.Vec3{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat},
+		b: geo.Vec3{
+			X: -sinLat*cosLon*cosBrg - sinLon*sinBrg,
+			Y: -sinLat*sinLon*cosBrg + cosLon*sinBrg,
+			Z: cosLat * cosBrg,
+		},
+	}
+}
+
+// at returns the unit vector distM along the course, with δ computed as
+// geo.Course.At computes it.
+func (tr *track) at(distM float64) geo.Vec3 {
+	sinD, cosD := math.Sincos(distM / geo.EarthMeanRadius)
+	return geo.Vec3{
+		X: tr.a.X*cosD + tr.b.X*sinD,
+		Y: tr.a.Y*cosD + tr.b.Y*sinD,
+		Z: tr.a.Z*cosD + tr.b.Z*sinD,
+	}
+}
+
+// nearPole reports a course starting within ~6 km of a pole (cos lat <
+// 1e-3). There geo.Course.At's longitude is dominated by rounding -- from
+// the pole itself it is off by up to the distance travelled -- so only
+// the exact path reproduces Target.PosAt's cell or distance.
+func (tr *track) nearPole() bool { return tr.a.X*tr.a.X+tr.a.Y*tr.a.Y < 1e-6 }
+
+// A Cap is the set of points within a great-circle radius of a centre, in
+// the unit-vector form TimedIndex.Outside tests against.
+type Cap struct {
+	center geo.Vec3
+	// chord2 is the squared chord of the radius plus capMarginM.
+	chord2 float64
+}
+
+// capMarginM pads a Cap's radius so that rounding cannot reject a point
+// the exact test accepts. The unit-vector position differs from
+// Target.PosAt by well under a millimetre away from the poles and by at
+// most ~10 cm at one (asin's conditioning there), and the haversine
+// distance rounds far below either.
+const capMarginM = 1.0
+
+// NewCap returns the cap of points within radiusM of center on the
+// mean-radius sphere, the sphere geo.GreatCircleDistance measures on.
+func NewCap(center geo.LatLon, radiusM float64) Cap {
+	sinLat, cosLat := math.Sincos(geo.Deg2Rad(center.Lat))
+	sinLon, cosLon := math.Sincos(geo.Deg2Rad(center.Lon))
+	c := Cap{center: geo.Vec3{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat}, chord2: math.Inf(1)}
+	if arc := (radiusM + capMarginM) / geo.EarthMeanRadius; arc < math.Pi {
+		chord := 2 * math.Sin(arc/2)
+		c.chord2 = chord * chord
+	}
+	return c
+}
+
+// cellEdges is a grid's cell boundaries in unit-vector form, for keying a
+// position without converting it to latitude and longitude. Row edge k
+// lies at latitude -90 + k*cellDeg and column edge k on the meridian at
+// longitude -180 + k*cellDeg, the values at which Index.key's floors step.
+type cellEdges struct {
+	// rowSin[k] is sin of row edge k's latitude, +Inf past +90 degrees:
+	// sin is not monotone there, and the +Inf entries (the last is always
+	// one) end the row search.
+	rowSin []float64
+	// zRow[j] is the row of the low end of z bin j, z = -1 + 2j/zBins:
+	// where the row search for any z in the bin starts.
+	zRow []int32
+	// colCos, colSin are the cosine and sine of column edge k's longitude:
+	// the meridian's direction in the equatorial plane.
+	colCos, colSin []float64
+	colsPerRad     float64
+}
+
+const (
+	// zBins is the resolution of the z-to-row table; rows are at least
+	// ~2 bins tall up to the polar cutoff at 2-degree cells, so the row
+	// search takes a step or two at most.
+	zBins = 8192
+	// keyMargin is how close, in sin(latitude) and in meridian distance
+	// (the sine of the longitude offset times cos(latitude)), a position
+	// may come to a cell edge before keying falls back to the exact path.
+	// Target.PosAt's own rounding stays below ~1e-11 in both wherever the
+	// cheap path runs.
+	keyMargin = 1e-9
+)
+
+// maxCheapZ = sin(88 degrees): poleward of it asin's conditioning and the
+// shrinking cos(latitude) erode the margins, so keys take the exact path.
+var maxCheapZ = math.Sin(geo.Deg2Rad(88))
+
+func newCellEdges(cellDeg float64) cellEdges {
+	if cellDeg <= 0 {
+		cellDeg = 2
+	}
+	nrows := int(math.Ceil(180/cellDeg)) + 1
+	ncols := int(math.Ceil(360/cellDeg)) + 1
+	e := cellEdges{
+		rowSin:     make([]float64, nrows+1),
+		zRow:       make([]int32, zBins+1),
+		colCos:     make([]float64, ncols),
+		colSin:     make([]float64, ncols),
+		colsPerRad: 180 / (math.Pi * cellDeg),
+	}
+	for k := range e.rowSin {
+		lat := -90 + float64(k)*cellDeg
+		if lat > 90 {
+			e.rowSin[k] = math.Inf(1)
+			continue
+		}
+		e.rowSin[k] = math.Sin(geo.Deg2Rad(lat))
+	}
+	r := int32(0)
+	for j := range e.zRow {
+		z := -1 + 2*float64(j)/zBins
+		for int(r)+1 < nrows && e.rowSin[r+1] <= z {
+			r++
+		}
+		e.zRow[j] = r
+	}
+	for k := range e.colCos {
+		e.colSin[k], e.colCos[k] = math.Sincos(geo.Deg2Rad(-180 + float64(k)*cellDeg))
+	}
+	return e
+}
+
+// key returns the cell key of unit vector p in a grid of the given row
+// stride, and false when p lies within keyMargin of a cell edge, poleward
+// of 88 degrees, or outside the interior columns (the first and last
+// regular columns and the seam column, where Index.key's longitude
+// wrapping decides). When it reports true the key equals Index.key of
+// Target.PosAt's latitude and longitude for the same point.
+func (e *cellEdges) key(p geo.Vec3, stride int64) (int64, bool) {
+	z := p.Z
+	if !(z >= -maxCheapZ && z <= maxCheapZ) {
+		return 0, false
+	}
+	r := e.zRow[int((z+1)*(zBins/2))]
+	for z >= e.rowSin[r+1] {
+		r++
+	}
+	if z-e.rowSin[r] < keyMargin || e.rowSin[r+1]-z < keyMargin {
+		return 0, false
+	}
+	// Guess the column from an approximate longitude, then confirm it by
+	// the sides of its two edge meridians: colCos[k]*y - colSin[k]*x is
+	// cos(lat)·sin(lon - edge k), positive east of the edge.
+	c := int64((atan2Guess(p.Y, p.X) + math.Pi) * e.colsPerRad)
+	for step := 0; ; step++ {
+		if c < 1 || c > stride-3 || step > 2 {
+			return 0, false
+		}
+		west := e.colCos[c]*p.Y - e.colSin[c]*p.X
+		east := e.colSin[c+1]*p.X - e.colCos[c+1]*p.Y
+		switch {
+		case west < 0:
+			c--
+		case east < 0:
+			c++
+		case west < keyMargin || east < keyMargin:
+			return 0, false
+		default:
+			return int64(r)*stride + c, true
+		}
+	}
+}
+
+// atan2Guess approximates math.Atan2(y, x) to within ~1e-5 rad with a
+// cubic-in-a² polynomial for atan on [0, 1] and octant folding: close
+// enough that the column it picks is off by at most one near an edge,
+// which cellEdges.key's edge tests then correct. x and y must not both be
+// zero.
+func atan2Guess(y, x float64) float64 {
+	ax, ay := math.Abs(x), math.Abs(y)
+	swap := ay > ax
+	a := ay / ax
+	if swap {
+		a = ax / ay
+	}
+	s := a * a
+	r := ((-0.0464964749*s+0.15931422)*s-0.327622764)*s*a + a
+	if swap {
+		r = math.Pi/2 - r
+	}
+	if x < 0 {
+		r = math.Pi - r
+	}
+	if y < 0 {
+		r = -r
+	}
+	return r
 }
 
 // Retire drops the buckets of a moving set that end at or before ts,

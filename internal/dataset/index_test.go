@@ -183,3 +183,92 @@ func TestNearIntoDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestTimedIndexCourseKeys keys every live airplane in a spread of
+// buckets of a day from the unit-vector courses and compares each cell
+// with a full-set NewIndex at the bucket start. Only a small share of
+// keys may take the exact fallback -- the polar caps, the columns beside
+// the antimeridian, and positions within the margin of an edge -- and
+// some must.
+func TestTimedIndexCourseKeys(t *testing.T) {
+	s := Airplanes(1)
+	tx := NewTimedIndex(s, 2, 600)
+	keyed := 0
+	for _, b := range []int64{1, 7, 36, 72, 100, 143} {
+		at := float64(b) * 600
+		tx.Near(geo.LatLon{}, 1, at)
+		checkBucket(t, tx, NewIndex(s, 2, at), at)
+		for i := range s.Targets {
+			if liveIn(&s.Targets[i], b, 600) {
+				keyed++
+			}
+		}
+	}
+	if frac := float64(tx.exact) / float64(keyed); tx.exact == 0 || frac > 0.03 {
+		t.Errorf("%d of %d keys took the exact fallback (%.2f%%), want some and at most 3%%", tx.exact, keyed, 100*frac)
+	}
+}
+
+// TestTimedIndexEdgeTargetsFallBack places moving targets exactly on
+// interior cell edges at a bucket start, where rounding decides the cell:
+// equator walkers (heading 90 or 270 keeps the latitude within an ulp of
+// 0, a row edge of the 2-degree grid) and meridian walkers on a column
+// edge (heading 0 or 180 keeps the longitude exact). Every one must take
+// the exact fallback and land where NewIndex puts it; targets walked to
+// cell centres must all be keyed from their courses.
+func TestTimedIndexEdgeTargetsFallBack(t *testing.T) {
+	const at = 3 * 600.0
+	rng := rand.New(rand.NewSource(5))
+	edges := &Set{Name: "edges", Moving: true}
+	centres := &Set{Name: "centres", Moving: true}
+	for i := 0; i < 200; i++ {
+		tgt := Target{ID: i, SpeedMS: 180 + rng.Float64()*120, Value: 1}
+		if i%2 == 0 {
+			tgt.Pos = geo.LatLon{Lat: 0, Lon: rng.Float64()*300 - 150}
+			tgt.HeadingDeg = []float64{90, 270}[rng.Intn(2)]
+		} else {
+			tgt.Pos = geo.LatLon{Lat: rng.Float64()*100 - 50, Lon: -150 + 2*float64(rng.Intn(150))}
+			tgt.HeadingDeg = []float64{0, 180}[rng.Intn(2)]
+		}
+		edges.Targets = append(edges.Targets, tgt)
+		q := geo.LatLon{Lat: -79 + 2*float64(rng.Intn(80)), Lon: -149 + 2*float64(rng.Intn(150))}
+		tgt.Pos, tgt.HeadingDeg = walkBack(q, rng.Float64()*360, tgt.SpeedMS*at)
+		centres.Targets = append(centres.Targets, tgt)
+	}
+	for _, c := range []struct {
+		s     *Set
+		exact int
+	}{{edges, len(edges.Targets)}, {centres, 0}} {
+		tx := NewTimedIndex(c.s, 2, 600)
+		tx.Near(geo.LatLon{}, 1, at)
+		checkBucket(t, tx, NewIndex(c.s, 2, at), at)
+		if tx.exact != c.exact {
+			t.Errorf("%s: %d keys took the exact fallback, want %d", c.s.Name, tx.exact, c.exact)
+		}
+	}
+}
+
+// TestTimedIndexConcurrentOutside races the lazy course build between
+// Outside callers and bucket builds, the way the parallel simulator's
+// workers reach it, and checks every verdict against the exact distance.
+func TestTimedIndexConcurrentOutside(t *testing.T) {
+	s := Airplanes(2)
+	s.Targets = s.Targets[:2000]
+	tx := NewTimedIndex(s, 2, 600)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ts := float64(w+1) * 1000
+			p := geo.LatLon{Lat: 40, Lon: -95 + float64(w)}
+			c := NewCap(p, 500e3)
+			for _, i := range tx.Near(p, 500e3, ts) {
+				if tx.Outside(i, ts, &c) && geo.GreatCircleDistance(s.Targets[i].PosAt(ts), p) <= 500e3 {
+					t.Errorf("Outside rejects target %d inside the cap", i)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -193,5 +194,53 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if err := <-drained; err != nil {
 		t.Errorf("drain: %v", err)
+	}
+}
+
+// TestAdmissionStress admits thousands of near-instant steps from several
+// goroutines against a multi-worker server. A worker can receive a job,
+// run it and count it done before the admitting goroutine runs again, so
+// admission must count the job (inflight and the queue-depth gauge)
+// before it is sent: counting after the send took the inflight WaitGroup
+// negative and crashed the process. Each goroutine owns one session, so
+// no admission is refused as busy; queue-full refusals are retried.
+func TestAdmissionStress(t *testing.T) {
+	const clients, steps = 8, 400
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 4, QueueDepth: 4, Metrics: reg, DisableFlight: true})
+	defer func() { _ = s.Shutdown(time.Minute) }()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		e, aerr := s.createSession(ScenarioConfig{Satellites: 2, Targets: testWorld(5), DurationHours: 0.001, Seed: int64(c)})
+		if aerr != nil {
+			t.Fatalf("create: %v", aerr)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := 0; done < steps; {
+				j, aerr := s.enqueue(e, 0, "", nil, nil)
+				if aerr != nil {
+					if aerr.reason != "queue" {
+						t.Errorf("admission refused: %v", aerr)
+						return
+					}
+					runtime.Gosched()
+					continue
+				}
+				if rr := <-j.done; rr.err != nil {
+					t.Errorf("step: %v", rr.err)
+					return
+				}
+				done++
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reg.GaugeValue("eagleeyed_queue_depth"); got != 0 {
+		t.Errorf("queue depth gauge = %v after every job finished, want 0", got)
+	}
+	if got := reg.CounterValue("eagleeyed_runs_total"); got != clients*steps {
+		t.Errorf("runs = %d, want %d", got, clients*steps)
 	}
 }

@@ -386,15 +386,23 @@ func (s *Server) enqueue(e *entry, hours float64, reqID string, trace io.Writer,
 		return nil, &admitError{status: 503, reason: "draining", msg: "server is draining"}
 	}
 	j := &job{e: e, hours: hours, reqID: reqID, trace: trace, closeTrace: closeTrace, done: make(chan jobResult, 1)}
+	// Count the job before the send: a worker can receive it, run it and
+	// call inflight.Done (and decrement the gauge) before this goroutine
+	// runs again, so counting after the send could take the WaitGroup
+	// negative. A refused send undoes both.
+	s.inflight.Add(1)
+	if s.met != nil {
+		s.met.queueDepth.Add(1)
+	}
 	select {
 	case s.queue <- j:
-		s.inflight.Add(1)
-		if s.met != nil {
-			s.met.queueDepth.Add(1)
-		}
 		s.mu.Unlock()
 		return j, nil
 	default:
+		s.inflight.Done()
+		if s.met != nil {
+			s.met.queueDepth.Add(-1)
+		}
 		s.mu.Unlock()
 		release()
 		return nil, &admitError{status: 429, reason: "queue",

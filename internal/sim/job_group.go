@@ -11,6 +11,7 @@ import (
 	"eagleeye/internal/comms"
 	"eagleeye/internal/constellation"
 	"eagleeye/internal/core"
+	"eagleeye/internal/dataset"
 	"eagleeye/internal/geo"
 	"eagleeye/internal/mip"
 	"eagleeye/internal/obs"
@@ -621,6 +622,17 @@ func (j *groupJob) recordFlight(fb *obs.FrameBuilder, frameIdx int, ts float64, 
 func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres *core.Result) {
 	st := j.st
 	swath := j.swath
+	targets := st.index.Set().Targets
+	// A target inside a capture's footprint lies within frameRadius(swath,
+	// swath) of the aim point: Contains(ToLocal(p)) puts p's frame
+	// coordinates within hypot(swath, swath)/2 of the aim's, and frame
+	// coordinates misstate great-circle distance by ~10 m at 300 km
+	// cross-track (the along-track axis shrinks by cos(cross-track/R) off
+	// the track), far inside frameRadius's 5 km margin. So the chord test
+	// (TimedIndex.Outside) against that radius rejects only targets the
+	// footprint test would reject, before their exact position or ToLocal
+	// is computed.
+	reach := frameRadius(swath, swath)
 	for fi, seq := range fres.Schedule.Captures {
 		// Slew energy depends on the executing satellite's own altitude:
 		// the leader itself in the mix variant, the follower behind
@@ -641,13 +653,13 @@ func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres 
 			// have moved into or out of the footprint. The candidate
 			// scratch is free here: the frame's filtered idx/pts live in
 			// their own buffers.
-			cands := st.candidatesNear(frame.ToGeodetic(c.Aim), frameRadius(swath, swath), absT)
-			targets := st.index.Set().Targets
-			for _, ci := range cands {
-				if !targets[ci].ActiveAt(absT) {
+			aim := frame.ToGeodetic(c.Aim)
+			disk := dataset.NewCap(aim, reach)
+			for _, ci := range st.candidatesNear(aim, reach, absT) {
+				if !targets[ci].ActiveAt(absT) || st.index.Outside(ci, absT, &disk) {
 					continue
 				}
-				pos := st.index.PosAt(ci, absT)
+				pos := targets[ci].PosAt(absT)
 				if fp.Contains(frame.ToLocal(pos)) {
 					st.captured[ci] = true
 					if st.cfg.RecaptureDedup {

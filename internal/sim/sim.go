@@ -380,22 +380,27 @@ func (st *runState) candidatesNear(p geo.LatLon, radiusM, ts float64) []int32 {
 }
 
 // filterInFrame reduces candidate indices to (targetIndex, local position)
-// pairs for active targets inside the w x h footprint of f, refilling the
-// idx/pts scratch. Candidates farther than frameRadius from the frame
-// origin are rejected on great-circle distance before the tangent-frame
-// projection: any point inside the rectangle lies within hypot(w,h)/2 of
-// the center up to curvature error (~1e-4 relative at frame scale), far
-// inside the 5 km margin, and ToLocal costs several times a distance.
+// pairs for active targets inside the w x h footprint of f, in candidate
+// order (detection draws its RNG per truth target in that order),
+// refilling the idx/pts scratch. Candidates farther than frameRadius from
+// the frame origin are rejected on great-circle distance before the
+// tangent-frame projection: any point inside the rectangle lies within
+// hypot(w,h)/2 of the center up to curvature error (~1e-4 relative at
+// frame scale), far inside the 5 km margin, and ToLocal costs several
+// times a distance. Moving targets are first rejected by chord distance
+// from their cached course (TimedIndex.Outside), which never rejects a
+// point within frameRadius, before any exact position is computed.
 func (st *runState) filterInFrame(cands []int32, f geo.TangentFrame, w, h float64, ts float64) ([]int32, []geo.Point2) {
 	idx := st.scIdx[:0]
 	pts := st.scPts[:0]
 	maxD := frameRadius(w, h)
+	disk := dataset.NewCap(f.Origin, maxD)
 	targets := st.index.Set().Targets
 	for _, ci := range cands {
-		if !targets[ci].ActiveAt(ts) {
+		if !targets[ci].ActiveAt(ts) || st.index.Outside(ci, ts, &disk) {
 			continue
 		}
-		pos := st.index.PosAt(ci, ts)
+		pos := targets[ci].PosAt(ts)
 		if geo.GreatCircleDistance(pos, f.Origin) > maxD {
 			continue
 		}

@@ -392,6 +392,24 @@ func (s *Session) Checkpoint(w io.Writer) error {
 // large custom Targets world dominates its size.
 const maxCheckpointHeader = 256 << 20
 
+// readBounded reads exactly n bytes of src, failing like io.ReadFull on a
+// short stream. The buffer grows only as bytes arrive, so a corrupt or
+// hostile length field costs memory in proportion to the bytes actually
+// received, not to the length it claims.
+func readBounded(src io.Reader, n uint64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(src, int64(n)))
+	switch {
+	case err != nil:
+		return nil, err
+	case uint64(len(b)) == n:
+		return b, nil
+	case len(b) == 0:
+		return nil, io.EOF
+	default:
+		return nil, io.ErrUnexpectedEOF
+	}
+}
+
 // RestoreSession rebuilds a session from a Checkpoint stream. The
 // embedded configuration is re-validated as in NewSession and the framing
 // checked eagerly; a continuous session's simulator snapshot is kept
@@ -415,8 +433,8 @@ func RestoreSession(src io.Reader) (*Session, error) {
 	if n > maxCheckpointHeader {
 		return nil, fmt.Errorf("eagleeye: checkpoint header of %d bytes exceeds the %d byte bound", n, maxCheckpointHeader)
 	}
-	hj := make([]byte, n)
-	if _, err := io.ReadFull(src, hj); err != nil {
+	hj, err := readBounded(src, uint64(n))
+	if err != nil {
 		return nil, fmt.Errorf("eagleeye: checkpoint: %w", err)
 	}
 	var hdr sessionHeader
@@ -441,8 +459,8 @@ func RestoreSession(src io.Reader) (*Session, error) {
 		if sz > maxCheckpointHeader {
 			return nil, fmt.Errorf("eagleeye: checkpoint snapshot of %d bytes exceeds the %d byte bound", sz, maxCheckpointHeader)
 		}
-		snap := make([]byte, sz)
-		if _, err := io.ReadFull(src, snap); err != nil {
+		snap, err := readBounded(src, sz)
+		if err != nil {
 			return nil, fmt.Errorf("eagleeye: checkpoint: %w", err)
 		}
 		s.pending = snap
