@@ -53,16 +53,22 @@ func oracleEliminate(t *tableau, row, col int) {
 	}
 }
 
-// kernelTableau allocates an m x total tableau with the scratch the
-// kernels use, sized as materializeDense sizes it.
+// kernelTableau allocates an m x total tableau with the state and scratch
+// the kernels use, sized as materializeDense sizes it.
 func kernelTableau(m, total int) *tableau {
 	t := &tableau{
-		m: m, total: total,
-		a:      make([][]float64, m),
-		basis:  make([]int, m),
-		cb:     make([]float64, m),
-		rowIdx: make([]int, m),
-		colIdx: make([]int32, total),
+		m: m, total: total, ncols: total, artbase: total,
+		a:        make([][]float64, m),
+		rhs:      make([]float64, m),
+		rng:      make([]float64, total),
+		obj:      make([]float64, total),
+		basis:    make([]int, m),
+		inBasis:  make([]bool, total),
+		atUpper:  make([]bool, total),
+		cb:       make([]float64, m),
+		rowIdx:   make([]int, m),
+		colIdx:   make([]int32, total),
+		costRows: make([]int, m),
 	}
 	buf := make([]float64, m*total)
 	for i := range t.a {
@@ -73,10 +79,16 @@ func kernelTableau(m, total int) *tableau {
 
 func (t *tableau) clone() *tableau {
 	c := kernelTableau(t.m, t.total)
+	c.ncols, c.artbase = t.ncols, t.artbase
 	for i := range t.a {
 		copy(c.a[i], t.a[i])
 	}
+	copy(c.rhs, t.rhs)
+	copy(c.rng, t.rng)
+	copy(c.obj, t.obj)
 	copy(c.basis, t.basis)
+	copy(c.inBasis, t.inBasis)
+	copy(c.atUpper, t.atUpper)
 	return c
 }
 
@@ -182,6 +194,200 @@ func FuzzDenseKernelDifferential(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzDenseRepriceDifferential checks the reduced costs the dense core
+// keeps current against a fresh pricing sweep (oraclePrice on a copy of
+// the tableau). Each input builds a random tableau with the density knob,
+// ±0 entries and zero basic costs of FuzzDenseKernelDifferential, and
+// sometimes ±Inf or NaN costs and a planted subnormal entry whose pivot
+// row is then scaled by 1/4, so that it underflows to 0. The tableau is
+// priced once, with the phase-1 limit (every column) or a phase-2 limit
+// below it, and then takes up to 2m random steps: a pivot followed by
+// reprice, biased towards entering or leaving a column with a non-finite
+// cost, or a bound flip, which must leave the reduced costs as they are.
+// Finally dualRepairRun and optimize run on it as a Workspace. After every
+// step and each run, every reduced cost below the limit must match the
+// fresh sweep bit for bit where nonzero and under == where zero. The seed
+// corpus runs as unit tests.
+func FuzzDenseRepriceDifferential(f *testing.F) {
+	for _, in := range []struct {
+		seed    int64
+		density uint8
+	}{
+		{1, 0}, {2, 15}, {3, 23}, {4, 45}, {5, 95},
+		{42, 7}, {-7, 30}, {987654321, 60}, {20260808, 80}, {11, 200},
+	} {
+		f.Add(in.seed, in.density)
+	}
+	negZero := math.Float64frombits(1 << 63)
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	f.Fuzz(func(t *testing.T, seed int64, density uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		dens := 0.05 + 0.95*float64(density%96)/95 // 5% .. 100%
+		m := 1 + rng.Intn(13)
+		total := m + 2 + rng.Intn(40)
+		tab := kernelTableau(m, total)
+		for i := range tab.a {
+			for j := range tab.a[i] {
+				switch {
+				case rng.Float64() >= dens:
+					if rng.Intn(3) == 0 {
+						tab.a[i][j] = negZero
+					}
+				case rng.Intn(4) == 0:
+					tab.a[i][j] = float64(rng.Intn(7) - 3)
+				default:
+					tab.a[i][j] = rng.NormFloat64()
+				}
+			}
+		}
+		perm := rng.Perm(total)
+		for i, j := range perm[:m] {
+			tab.basis[i] = j
+			tab.inBasis[j] = true
+		}
+		obj := tab.obj
+		for j := range obj {
+			if rng.Intn(5) >= 2 {
+				obj[j] = rng.NormFloat64()
+			}
+		}
+		limit := total
+		if rng.Intn(2) == 0 {
+			limit = m + 1 + rng.Intn(total-m)
+		}
+		// Plant a column whose only nonzero is the smallest subnormal, in a
+		// row whose basic cost is at least 1 in magnitude, so its reduced
+		// cost is a nonzero subnormal; pivoting that row on an entry of 4
+		// scales the subnormal to 0.
+		under, underRow, underCol := -1, -1, -1
+		if rng.Intn(2) == 0 {
+			under, underCol = perm[m], perm[m+1]
+			if under >= limit || underCol >= limit {
+				under = -1
+			} else {
+				underRow = rng.Intn(m)
+				for i := range tab.a {
+					tab.a[i][under] = 0
+				}
+				tab.a[underRow][under] = math.SmallestNonzeroFloat64
+				tab.a[underRow][underCol] = 4
+				obj[under] = 0
+				obj[tab.basis[underRow]] = 1 + math.Abs(rng.NormFloat64())
+			}
+		}
+		var odd []int // columns with a non-finite cost
+		if rng.Intn(3) == 0 {
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				j := rng.Intn(total)
+				if j == under || j == underCol || (under >= 0 && j == tab.basis[underRow]) {
+					continue
+				}
+				obj[j] = nonFinite[rng.Intn(len(nonFinite))]
+				odd = append(odd, j)
+			}
+		}
+		for j := range tab.rng {
+			tab.rng[j] = math.Inf(1)
+			if rng.Intn(2) == 0 {
+				tab.rng[j] = 1 + float64(rng.Intn(3))
+			}
+		}
+
+		check := func(stage string, red []float64) {
+			t.Helper()
+			want := make([]float64, total)
+			oraclePrice(tab.clone(), obj, want, limit)
+			for j := 0; j < limit; j++ {
+				g, w := red[j], want[j]
+				if g == 0 && w == 0 {
+					continue
+				}
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: red[%d] = %v (%#x), fresh price %v (%#x)", stage, j,
+						g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+		red := make([]float64, total)
+		tab.price(obj, red, limit)
+		check("price", red)
+
+		for step := 0; step < 2*m; step++ {
+			if step > 0 && rng.Intn(4) == 0 {
+				j := rng.Intn(total)
+				if tab.inBasis[j] || math.IsInf(tab.rng[j], 1) {
+					continue
+				}
+				dir := 1.0
+				if tab.atUpper[j] {
+					dir = -1
+				}
+				for i := range tab.rhs {
+					tab.rhs[i] -= tab.rng[j] * dir * tab.a[i][j]
+				}
+				tab.atUpper[j] = !tab.atUpper[j]
+				check(fmt.Sprintf("step %d flip %d", step, j), red)
+				continue
+			}
+			row, col := rng.Intn(m), -1
+			switch {
+			case step == 0 && under >= 0:
+				row, col = underRow, underCol
+			case len(odd) > 0 && rng.Intn(2) == 0:
+				j := odd[rng.Intn(len(odd))]
+				for i, b := range tab.basis {
+					if b == j {
+						row = i // leave the non-finite column
+					}
+				}
+				if !tab.inBasis[j] && j < limit {
+					var rows []int
+					for i := range tab.a {
+						if tab.a[i][j] != 0 {
+							rows = append(rows, i)
+						}
+					}
+					if len(rows) > 0 {
+						row, col = rows[rng.Intn(len(rows))], j // enter it
+					}
+				}
+			}
+			if col < 0 {
+				var cols []int // nonbasic columns below limit, nonzero in row
+				for j := 0; j < limit; j++ {
+					if !tab.inBasis[j] && tab.a[row][j] != 0 {
+						cols = append(cols, j)
+					}
+				}
+				if len(cols) == 0 {
+					continue
+				}
+				col = cols[rng.Intn(len(cols))]
+			}
+			nz := tab.pivot(row, col, 1, 0, false)
+			tab.reprice(obj, red, limit, row, nz)
+			check(fmt.Sprintf("step %d pivot (%d,%d)", step, row, col), red)
+		}
+
+		// The same state as a workspace: dual repair from a violated row,
+		// then the primal loop, both with limit as the entering bound.
+		tab.artbase = limit
+		ws := &Workspace{t: *tab, red: red}
+		for j := 0; j < total; j++ {
+			ws.price = append(ws.price, int32(j))
+		}
+		tab = &ws.t
+		for i := range tab.rhs {
+			tab.rhs[i] = rng.NormFloat64()
+		}
+		tab.rhs[rng.Intn(m)] = -1
+		ws.dualRepairRun(2*m + 4)
+		check("dualRepairRun", red)
+		tab.optimize(ws, obj, tab.iters+2*m+4, limit == total)
+		check("optimize", red)
 	})
 }
 

@@ -549,9 +549,10 @@ type tableau struct {
 	artbase int // first artificial column index
 	iters   int
 
-	// grow-only index scratch for the price and eliminate kernels.
-	rowIdx []int   // rows the kernel applies, ascending
-	colIdx []int32 // nonzero columns of the normalized pivot row
+	// grow-only index scratch for the price, reprice and eliminate kernels.
+	rowIdx   []int   // rows eliminate applies, ascending
+	colIdx   []int32 // nonzero columns of the last pivot row, ascending
+	costRows []int   // rows whose basic cost cb is nonzero, ascending
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -751,6 +752,7 @@ func (ws *Workspace) materializeDense(p *Problem) {
 	t.cb = growFloats(t.cb, m)
 	t.rowIdx = growInts(t.rowIdx, m)
 	t.colIdx = growInt32s(t.colIdx, total)
+	t.costRows = growInts(t.costRows, m)
 	t.inBasis = growBools(t.inBasis, total)
 	t.atUpper = growBools(t.atUpper, total)
 	t.rng = growFloats(t.rng, total)
@@ -870,7 +872,10 @@ func (t *tableau) solve(ws *Workspace, maxIters int) Status {
 
 // optimize runs simplex iterations for the given objective, returning the
 // status and the achieved objective value (in shifted space). Columns at or
-// beyond artbase are never allowed to enter during phase 2.
+// beyond artbase are never allowed to enter during phase 2. The reduced
+// costs are priced in full on the first iteration and kept current after
+// that: each pivot re-prices the columns it changed (reprice), and a
+// bound flip changes none.
 func (t *tableau) optimize(ws *Workspace, obj []float64, maxIters int, phase1 bool) (Status, float64) {
 	limit := t.total
 	if !phase1 {
@@ -882,7 +887,9 @@ func (t *tableau) optimize(ws *Workspace, obj []float64, maxIters int, phase1 bo
 			return StatusIterLimit, 0
 		}
 		t.iters++
-		t.price(obj, red, limit)
+		if iter == 0 {
+			t.price(obj, red, limit)
+		}
 		// Entering column: a nonbasic at its lower bound improves by
 		// increasing (red > 0); one at its upper bound by decreasing
 		// (red < 0). Dantzig normally; Bland (first eligible) when the
@@ -971,7 +978,8 @@ func (t *tableau) optimize(ws *Workspace, obj []float64, maxIters int, phase1 bo
 			t.atUpper[enter] = !t.atUpper[enter]
 			continue
 		}
-		t.pivot(leave, enter, dir, step, leaveAtUpper)
+		nz := t.pivot(leave, enter, dir, step, leaveAtUpper)
+		t.reprice(obj, red, limit, leave, nz)
 	}
 }
 
@@ -995,8 +1003,9 @@ func (t *tableau) objValue(obj []float64) float64 {
 // direction `dir`. The leaving variable exits at its lower bound, or at
 // its upper bound when leaveAtUpper is set. rhs is updated to the new
 // basic values directly (it holds values, not B^-1 b), then eliminate
-// applies the Gauss-Jordan step to the matrix.
-func (t *tableau) pivot(row, col int, dir, step float64, leaveAtUpper bool) {
+// applies the Gauss-Jordan step to the matrix. It returns eliminate's list
+// of the columns the pivot changed, for reprice.
+func (t *tableau) pivot(row, col int, dir, step float64, leaveAtUpper bool) []int32 {
 	for i := 0; i < t.m; i++ {
 		if i != row {
 			t.rhs[i] -= step * dir * t.a[i][col]
@@ -1010,11 +1019,12 @@ func (t *tableau) pivot(row, col int, dir, step float64, leaveAtUpper bool) {
 	lv := t.basis[row]
 	t.atUpper[lv] = leaveAtUpper
 
-	t.eliminate(row, col)
+	nz := t.eliminate(row, col)
 	t.inBasis[lv] = false
 	t.basis[row] = col
 	t.inBasis[col] = true
 	t.atUpper[col] = false
+	return nz
 }
 
 // price sets red[:limit] to the reduced costs obj - A^T cB of the first
@@ -1024,9 +1034,10 @@ func (t *tableau) pivot(row, col int, dir, step float64, leaveAtUpper bool) {
 // each column takes its four subtractions in ascending row order, as
 // separately rounded operations, so every reduced cost gets exactly the
 // operations, in exactly the order, of a one-row-at-a-time sweep: the
-// bits do not depend on the grouping.
+// bits do not depend on the grouping. cb and the list of rows with a
+// nonzero basic cost are left for reprice.
 func (t *tableau) price(obj, red []float64, limit int) {
-	cb, rows := t.cb, t.rowIdx[:0]
+	cb, rows := t.cb, t.costRows[:0]
 	for i := 0; i < t.m; i++ {
 		c := obj[t.basis[i]]
 		cb[i] = c
@@ -1034,6 +1045,7 @@ func (t *tableau) price(obj, red []float64, limit int) {
 			rows = append(rows, i)
 		}
 	}
+	t.costRows = rows
 	rd := red[:limit]
 	copy(rd, obj[:limit])
 	k := 0
@@ -1057,34 +1069,109 @@ func (t *tableau) price(obj, red []float64, limit int) {
 	}
 }
 
+// reprice brings red[:limit], as priced by price for obj, up to date after
+// a pivot on row `row` whose eliminate changed the columns in nz. It
+// refreshes the pivot row's basic cost and re-prices only the columns of
+// nz below limit, each with price's operations in price's order, so each
+// gets the bits a full price would give it.
+//
+// Every other column keeps its reduced cost, and a full price would give
+// it an equal value. Its pivot-row entry is ±0 before and after the pivot,
+// and eliminate touched none of its entries, so a full price subtracts the
+// same products in the same order except the pivot row's term, which is
+// cost × ±0 on both sides. Subtracting it changes at most the sign of a
+// zero reduced cost, and no decision reads that sign: entering selection
+// tests r > best with best ≥ eps, and the dual-repair ratio compares
+// values and magnitudes. A non-finite cost breaks the argument (Inf × 0 is
+// NaN), so when the leaving or the entering column's cost is not finite
+// reprice falls back to a full price.
+//
+// The textbook update d ← d − d_q·α_r would also be O(nnz) but rounds
+// differently, so near-tie pivots would drift from a full price.
+func (t *tableau) reprice(obj, red []float64, limit, row int, nz []int32) {
+	cb := t.cb
+	old, c := cb[row], obj[t.basis[row]]
+	if !finite(old) || !finite(c) {
+		t.price(obj, red, limit)
+		return
+	}
+	cb[row] = c
+	if (old == 0) != (c == 0) {
+		rows := t.costRows[:0]
+		for i, ci := range cb[:t.m] {
+			if ci != 0 {
+				rows = append(rows, i)
+			}
+		}
+		t.costRows = rows
+	}
+	for len(nz) > 0 && int(nz[len(nz)-1]) >= limit {
+		nz = nz[:len(nz)-1]
+	}
+	rd := red[:limit]
+	for _, j := range nz {
+		rd[j] = obj[j]
+	}
+	rows := t.costRows
+	k := 0
+	for ; k+4 <= len(rows); k += 4 {
+		i0, i1, i2, i3 := rows[k], rows[k+1], rows[k+2], rows[k+3]
+		c0, c1, c2, c3 := cb[i0], cb[i1], cb[i2], cb[i3]
+		r0 := t.a[i0][:len(rd)]
+		r1 := t.a[i1][:len(rd)]
+		r2 := t.a[i2][:len(rd)]
+		r3 := t.a[i3][:len(rd)]
+		for _, j := range nz {
+			rd[j] = rd[j] - c0*r0[j] - c1*r1[j] - c2*r2[j] - c3*r3[j]
+		}
+	}
+	for ; k < len(rows); k++ {
+		c := cb[rows[k]]
+		ri := t.a[rows[k]][:len(rd)]
+		for _, j := range nz {
+			rd[j] -= c * ri[j]
+		}
+	}
+}
+
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
 // eliminate is the Gauss-Jordan step shared by pivot, installBasis and
 // crashBasis: it scales row `row` by 1/a[row][col], then subtracts
 // a[i][col] times that row from every other row i whose entry in col is
 // nonzero, which leaves col a unit column. The rhs is the caller's: it
-// must be updated from the pre-elimination column before the call.
+// must be updated from the pre-elimination column before the call. It
+// returns the pivot row's nonzero columns, ascending, which are the only
+// columns it changes (the slice is scratch, valid until the next call).
 //
-// Only the nonzero columns of the scaled pivot row are touched, four rows
-// per pass. Every entry that is touched gets the same single rounded
-// operation a full-row sweep gives it, so it keeps its exact bits. An
-// untouched entry is one where the pivot row holds +0 or -0, where the
-// full sweep would subtract a signed zero: a nonzero entry is unchanged
-// by that, and a zero entry stays a zero -- the only difference is that
-// a -0 the full sweep would turn into +0 stays -0. No decision the
-// simplex makes can see that sign: every test on a tableau or rhs entry
-// compares against +-eps, tests == 0 or compares magnitudes, the only
-// reciprocals are of chosen pivots (|w| > eps or > installTol), and the
-// solver never inspects a sign bit. So the pivots, and the results, are
-// the same as with the full-row sweep.
-func (t *tableau) eliminate(row, col int) {
+// The nonzero columns are collected before scaling, without a branch per
+// entry (see nonzero), and only they are scaled and touched, four rows
+// per pass. An entry whose scaled value
+// underflows to 0 stays on the list: it has changed, and eliminating with
+// it subtracts f·0, which at most flips the sign of a zero. Every entry
+// that is touched gets the same single rounded operation a full-row sweep
+// gives it, so it keeps its exact bits. An untouched entry is one where
+// the pivot row holds +0 or -0, where the full sweep would subtract a
+// signed zero (and would rewrite the pivot row's zero as 0·inv): a
+// nonzero entry is unchanged by that, and a zero entry stays a zero --
+// the only difference is the sign of some zeros. No decision the simplex
+// makes can see that sign: every test on a tableau or rhs entry compares
+// against +-eps, tests == 0 or compares magnitudes, the only reciprocals
+// are of chosen pivots (|w| > eps or > installTol), and the solver never
+// inspects a sign bit. So the pivots, and the results, are the same as
+// with the full-row sweep.
+func (t *tableau) eliminate(row, col int) []int32 {
 	pr := t.a[row][:t.total]
 	inv := 1 / pr[col]
-	nz := t.colIdx[:0]
+	nz := t.colIdx[:len(pr)]
+	n := 0
 	for j, v := range pr {
-		v *= inv
-		pr[j] = v
-		if v != 0 {
-			nz = append(nz, int32(j))
-		}
+		nz[n] = int32(j)
+		n += nonzero(v)
+	}
+	nz = nz[:n]
+	for _, j := range nz {
+		pr[j] *= inv
 	}
 	rows := t.rowIdx[:0]
 	for i := 0; i < t.m; i++ {
@@ -1114,6 +1201,15 @@ func (t *tableau) eliminate(row, col int) {
 			ri[j] -= f * pr[j]
 		}
 	}
+	return nz
+}
+
+// nonzero is 1 when v != 0 (NaN included) and 0 for ±0, computed without
+// a branch: the shift drops the sign bit, and x|-x has its top bit set
+// exactly when x != 0.
+func nonzero(v float64) int {
+	x := math.Float64bits(v) << 1
+	return int((x | -x) >> 63)
 }
 
 // evictArtificials pivots basic artificial variables (at value ~0 after a

@@ -264,7 +264,11 @@ func (ws *Workspace) dualRepairRun(maxPivots int) bool {
 		if r < 0 {
 			return true
 		}
-		t.price(t.obj, red, limit)
+		if pivots == 0 {
+			// Price in full once; each pivot below re-prices the columns
+			// it changed, and a bound flip changes none.
+			t.price(t.obj, red, limit)
+		}
 		// Entering column: movement along its free direction must push the
 		// leaving basic toward the violated bound (sign test), and among
 		// the eligible the dual ratio |reduced cost| / |pivot| is minimized
@@ -327,7 +331,8 @@ func (ws *Workspace) dualRepairRun(maxPivots int) bool {
 			t.iters++
 			continue
 		}
-		t.pivot(r, enter, dir, step, atUp)
+		nz := t.pivot(r, enter, dir, step, atUp)
+		t.reprice(t.obj, red, limit, r, nz)
 		t.iters++
 	}
 	return t.primalFeasible()

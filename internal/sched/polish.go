@@ -3,6 +3,8 @@ package sched
 import (
 	"cmp"
 	"slices"
+
+	"eagleeye/internal/geo"
 )
 
 // polish improves a feasible schedule without changing the scheduling
@@ -12,7 +14,13 @@ import (
 //     feasible times (optimal for a fixed order by an exchange argument),
 //     recovering slack that the ILP's slot discretization leaves behind; and
 //  2. insert: uncovered targets are greedily inserted into sequence
-//     positions where the suffix can still be re-timed feasibly.
+//     positions where the suffix can still be re-timed feasibly. Each trial
+//     re-times only the inserted target and the suffix after it, starting
+//     from the time and aim the unchanged prefix reaches; the prefix is
+//     advanced one capture per failed position, and the search stops once
+//     the prefix itself is infeasible (every later trial would contain it).
+//     Window and EarliestArrival are pure, so each capture gets exactly the
+//     time a re-timing of the whole trial from t = 0 would give it.
 //
 // The result is always feasible and never worth less than the input. This
 // is how the implementation bridges the gap between the paper's
@@ -30,7 +38,8 @@ func polish(ar *ilpArena, p *Problem, s *Schedule) {
 
 	// Pass 1: earliest re-timing per follower.
 	for fi := range s.Captures {
-		retime(ar, p, p.Followers[fi], s.Captures[fi], byID)
+		f := p.Followers[fi]
+		retime(ar, p, f, s.Captures[fi], 0, f.Boresight, byID)
 	}
 
 	// Pass 2: greedy insertion of uncovered targets, most valuable first.
@@ -62,31 +71,20 @@ func polish(ar *ilpArena, p *Problem, s *Schedule) {
 }
 
 // retime rewrites capture times to the earliest feasible schedule for the
-// given order. It returns false (leaving seq untouched) if the order is
-// infeasible, which polish treats as "keep the original times".
-func retime(ar *ilpArena, p *Problem, f Follower, seq []Capture, byID map[int]Target) bool {
+// given order, with follower f starting at time t aimed at aim: (0,
+// f.Boresight) for a whole sequence, or the state a fixed prefix leaves
+// when seq is the suffix after it. It returns false (leaving seq
+// untouched) if the order is infeasible, which polish treats as "keep the
+// original times".
+func retime(ar *ilpArena, p *Problem, f Follower, seq []Capture, t float64, aim geo.Point2, byID map[int]Target) bool {
 	times := growFloats(ar.times, len(seq))
 	ar.times = times
-	t := 0.0
-	aim := f.Boresight
 	for i, c := range seq {
-		tgt, ok := byID[c.TargetID]
-		if !ok {
+		var ok bool
+		if t, aim, ok = arrival(p, f, t, aim, c, byID); !ok {
 			return false
 		}
-		w0, w1, ok := p.Window(f, tgt)
-		if !ok {
-			return false
-		}
-		arr := p.EarliestArrival(f, aim, t, tgt.Pos)
-		if arr < w0 {
-			arr = w0
-		}
-		if arr > w1 {
-			return false
-		}
-		times[i] = arr
-		t, aim = arr, tgt.Pos
+		times[i] = t
 	}
 	for i := range seq {
 		seq[i].Time = times[i]
@@ -94,24 +92,55 @@ func retime(ar *ilpArena, p *Problem, f Follower, seq []Capture, byID map[int]Ta
 	return true
 }
 
+// arrival returns the earliest time inside its window at which follower f,
+// aimed at aim at time t, can capture c's target, and the target's aim
+// point; ok is false when there is no such time.
+func arrival(p *Problem, f Follower, t float64, aim geo.Point2, c Capture, byID map[int]Target) (float64, geo.Point2, bool) {
+	tgt, ok := byID[c.TargetID]
+	if !ok {
+		return 0, aim, false
+	}
+	w0, w1, ok := p.Window(f, tgt)
+	if !ok {
+		return 0, aim, false
+	}
+	arr := p.EarliestArrival(f, aim, t, tgt.Pos)
+	if arr < w0 {
+		arr = w0
+	}
+	if arr > w1 {
+		return 0, aim, false
+	}
+	return arr, tgt.Pos, true
+}
+
 // tryInsert attempts to insert tgt into every position of seq, keeping the
 // first position where the whole sequence remains feasible after earliest
-// re-timing. Trials are staged in arena scratch; only a successful insert
-// copies out to a fresh slice. Returns true on success.
+// re-timing. The trial is staged in arena scratch as prefix, inserted
+// capture, suffix; moving to the next position swaps the inserted capture
+// past the next prefix capture and times that capture once. Only a
+// successful insert copies out to a fresh slice. Returns true on success.
 func tryInsert(ar *ilpArena, p *Problem, f Follower, seq *[]Capture, fi int, tgt Target, byID map[int]Target) bool {
 	cur := *seq
-	for pos := 0; pos <= len(cur); pos++ {
-		trial := ar.trial[:0]
-		trial = append(trial, cur[:pos]...)
-		trial = append(trial, Capture{TargetID: tgt.ID, Follower: fi, Aim: tgt.Pos})
-		trial = append(trial, cur[pos:]...)
-		ar.trial = trial
-		if retime(ar, p, f, trial, byID) {
+	trial := append(ar.trial[:0], Capture{TargetID: tgt.ID, Follower: fi, Aim: tgt.Pos})
+	trial = append(trial, cur...)
+	ar.trial = trial
+	t, aim := 0.0, f.Boresight
+	for pos := 0; ; pos++ {
+		if retime(ar, p, f, trial[pos:], t, aim, byID) {
 			out := make([]Capture, len(trial))
 			copy(out, trial)
 			*seq = out
 			return true
 		}
+		if pos == len(cur) {
+			return false
+		}
+		var ok bool
+		if t, aim, ok = arrival(p, f, t, aim, cur[pos], byID); !ok {
+			return false
+		}
+		trial[pos], trial[pos+1] = trial[pos+1], trial[pos]
+		trial[pos].Time = t
 	}
-	return false
 }
