@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race tier1 bench bench-selftest bench-solver bench-scale bench-scale-smoke bench-sim bench-sim-smoke bench-shard bench-shard-smoke bench-warm metrics-smoke serve-smoke longhorizon-smoke flight-smoke figures
+.PHONY: build vet test race tier1 bench bench-selftest bench-smoke bench-solver bench-scale bench-scale-smoke bench-shard-smoke metrics-smoke serve-smoke longhorizon-smoke flight-smoke figures
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,16 @@ bench:
 bench-selftest:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
+# Benchmark smoke: a 3 s run of each benchmarked workload through the
+# benchmark itself. Catches frame-loop, sharded-frame and server
+# regressions that only show at benchmark scale; perfbench exits non-zero
+# when any of its correctness checks fails (for frame-dense, every
+# stitched schedule passes sched.ValidateSchedule).
+bench-smoke:
+	for w in sim-airplanes frame-dense serve-mix; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
+
 # Solver smoke benches: one iteration of every lp/mip/sched/cluster bench.
 # CI runs this to catch solver-path regressions that compile and pass unit
 # tests but crash or hang only on benchmark-sized instances.
@@ -48,46 +58,12 @@ bench-scale:
 bench-scale-smoke:
 	$(GO) run ./cmd/benchlp -quick
 
-# Frame-loop benchmark: measures a full simulator run (ns/op, B/op,
-# allocs/op) and appends a machine-readable point to BENCH_sim.json.
-bench-sim:
-	$(GO) run ./cmd/benchsim -out BENCH_sim.json
-
-# One-iteration benchsim pass for CI: catches frame-loop regressions that
-# only show up at benchmark scale, without CI timing noise mattering.
-bench-sim-smoke:
-	$(GO) run ./cmd/benchsim -iters 1
-
-# Sharded-frame sweep: single dense frames at 20k / 100k / 1M targets
-# through the sharded pipeline, recording the shard count, load imbalance
-# and the speedup over the unsharded single-shard baseline (skipped above
-# 200k) into BENCH_sim.json.
-bench-shard:
-	$(GO) run ./cmd/benchsim -frame-sweep 20000,100000 -workers 4 -iters 3 -out BENCH_sim.json
-	$(GO) run ./cmd/benchsim -frame-sweep 1000000 -workers 4 -out BENCH_sim.json
-
-# CI shard smoke: the intra-frame determinism gate (a 4-worker executor
-# must produce byte-identical results to the sequential one on a sharded
-# 20k-target frame) under the race detector, plus one quick sweep point.
+# CI shard smoke: the intra-frame determinism gate under the race
+# detector. A 4-worker executor must produce byte-identical results to
+# the sequential one on a sharded 20k-target frame, and a single-shard
+# plan must match the plain pipeline.
 bench-shard-smoke:
 	$(GO) test -race -count=1 -run 'TestShardedFrameWorkersIdentity|TestShardedSingleShardMatchesPlain' ./internal/core
-	$(GO) run ./cmd/benchsim -frame-sweep 20000 -workers 4 -iters 1
-
-# Cold-vs-warm A/B on the benchmark workload: prints the solver-load
-# counters (B&B nodes, simplex iterations, warm-start pipeline hits) side
-# by side so the temporal-coherence savings are visible at a glance.
-# Counts are deterministic for the fixed seed, so the two lines are
-# comparable run to run.
-bench-warm:
-	@$(GO) build -o /tmp/eagleeye-benchsim ./cmd/benchsim
-	@echo "cold (-warm=false):"; \
-	/tmp/eagleeye-benchsim -iters 1 -warm=false \
-		| grep -o '"\(sched\|cluster\)_\(nodes\|iters\)":[0-9]*\|"warm_[a-z_]*":[0-9.]*\|"basis_reuses":[0-9]*' \
-		| tr '\n' ' '; echo
-	@echo "warm (default):"; \
-	/tmp/eagleeye-benchsim -iters 1 \
-		| grep -o '"\(sched\|cluster\)_\(nodes\|iters\)":[0-9]*\|"warm_[a-z_]*":[0-9.]*\|"basis_reuses":[0-9]*' \
-		| tr '\n' ' '; echo
 
 # Observability smoke: run a short instrumented simulation with the live
 # endpoint up, scrape /metrics during the post-run hold, and assert the

@@ -233,6 +233,31 @@ func TestRestoreBoundsAllocation(t *testing.T) {
 	}
 }
 
+// TestRestoreBoundsSatellites: a checkpoint header is untrusted input, so
+// a satellite count above MaxSatellites must fail RestoreSession before
+// anything is built from it -- not on the first Step, which would build
+// every satellite.
+func TestRestoreBoundsSatellites(t *testing.T) {
+	hj, err := json.Marshal(sessionHeader{Config: Config{Dataset: DatasetShips, Satellites: 2_000_000_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.WriteString(sessMagic)
+	binary.Write(&body, binary.BigEndian, uint32(len(hj)))
+	body.Write(hj)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = RestoreSession(bytes.NewReader(body.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "satellites") {
+		t.Errorf("restore of a 2e9-satellite header: error %v, want the satellite bound", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting the header allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
 // TestFacadeFaultEvents: the public Events surface maps onto the
 // simulator's fault schedule and reports its accounting.
 func TestFacadeFaultEvents(t *testing.T) {

@@ -107,6 +107,15 @@ const (
 	DatasetOilTanks  = "oiltanks"
 )
 
+// MaxSatellites bounds Config.Satellites. A run builds every satellite
+// and its per-frame state up front, so the count sizes memory: one step of
+// a 20,000-satellite session allocated 476 MB. The bound sits far above
+// every scenario in this repository (the examples fly at most 12
+// satellites, the full-scale size sweep 40) and stops an untrusted
+// scenario -- a POST /v1/sessions body or a checkpoint header -- from
+// sizing that allocation.
+const MaxSatellites = 1000
+
 // Config selects a constellation simulation. Zero fields take the paper's
 // defaults (§5.3): leader-follower organization, one follower per group,
 // ILP scheduling, YOLO-nano detection, 3 deg/s slew, 24 h.
@@ -114,7 +123,8 @@ type Config struct {
 	// Organization is one of LowResOnly, HighResOnly, LeaderFollower,
 	// MixCamera. Empty means LeaderFollower.
 	Organization string
-	// Satellites is the total satellite count. Zero means 2.
+	// Satellites is the total satellite count, at most MaxSatellites.
+	// Zero means 2.
 	Satellites int
 	// FollowersPerGroup applies to LeaderFollower (default 1).
 	FollowersPerGroup int
@@ -344,6 +354,9 @@ func toSimConfig(cfg Config) (sim.Config, error) {
 	sats := cfg.Satellites
 	if sats == 0 {
 		sats = 2
+	}
+	if sats > MaxSatellites {
+		return out, fmt.Errorf("eagleeye: %d satellites exceeds the bound of %d", sats, MaxSatellites)
 	}
 	out.Constellation = constellation.Config{
 		Kind:              kind,

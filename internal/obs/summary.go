@@ -9,8 +9,8 @@ import (
 // End-of-run summary: a machine-readable JSON snapshot of every registered
 // series, complementing the per-frame trace -- the trace answers "what did
 // frame N do", the summary answers "where did the run's wall clock and
-// work go". cmd/eagleeye writes it behind -metrics-out; cmd/benchsim folds
-// the stage-time breakdown into its BENCH_sim.json points.
+// work go". cmd/eagleeye writes it behind -metrics-out, and the live
+// endpoints of cmd/eagleeye and cmd/eagleeyed serve it on /summary.
 
 // SummarySchema versions the summary layout for downstream consumers.
 const SummarySchema = 1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +191,27 @@ func TestHandlerTable(t *testing.T) {
 	}
 	if resp, _ := doJSON(t, "GET", base+"/v1/sessions/"+id, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("deleted session still queryable: %d", resp.StatusCode)
+	}
+}
+
+// TestCreateBoundsSatellites: a short create body naming more satellites
+// than eagleeye.MaxSatellites is refused with 400 before any dataset or
+// constellation is built for it.
+func TestCreateBoundsSatellites(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(0)
+	h := s.Handler()
+	body := `{"dataset":"ships","satellites":2000000000}`
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("create with 2e9 satellites = %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting a %d-byte body allocated %d bytes, want < 1 MiB", len(body), got)
 	}
 }
 

@@ -41,17 +41,17 @@ type groupJob struct {
 	cadence  float64
 	computeS float64
 	env      sched.Env
-	// pipe runs every leader frame. Unsharded runs keep each frame on the
-	// 1x1 plan, which is the paper's leader pipeline; under
-	// Config.ShardTargets dense frames are tiled spatially with an
-	// ordered merge (see core.ShardedPipeline).
+	// pipe runs every leader frame on the 1x1 plan: one detect, cluster
+	// and schedule pass over the whole frame, the paper's leader pipeline.
 	pipe     *core.ShardedPipeline
 	w, h, qr float64
 	swath    float64 // executing camera's high-res swath
 
 	// frame is the tangent frame of the frame in flight, read by the
 	// recapture hook; recap counts the detections the hook suppressed in
-	// it (atomic: shards call the hook concurrently).
+	// it. A 1x1 plan calls the hook from the job's goroutine only; recap
+	// stays atomic because core.ShardedPipeline's Template contract asks
+	// for a PriorityScale that is safe for concurrent calls.
 	frame geo.TangentFrame
 	recap atomic.Int64
 
@@ -139,13 +139,14 @@ func newGroupJob(st *runState, gi int, grp constellation.Group, events []Event) 
 	return j
 }
 
-// newFramePipeline builds the group's frame engine. Every shard unit owns
-// a private scheduler and cover solver state, pooled and built here per
-// group, so each leader owns its temporal-coherence state (warm
+// newFramePipeline builds the group's frame engine. Its single shard unit
+// owns a private scheduler and cover solver state, pooled and built here
+// per group, so each leader owns its temporal-coherence state (warm
 // candidates, basis reuse, incremental model construction -- see
 // sched.SolverState) and the Result is identical for any Workers value.
-// The intra-frame executor is the same bounded worker policy the group
-// jobs use, so a run never exceeds Workers goroutines per sharded frame.
+// MaxShards 1 plans every frame as the 1x1 identity grid: a multi-shard
+// plan drops most of its per-shard captures at the stitch (DESIGN.md,
+// "Simulation wiring").
 func newFramePipeline(j *groupJob) *core.ShardedPipeline {
 	cfg := &j.st.cfg
 	jm := j.st.met
@@ -168,17 +169,7 @@ func newFramePipeline(j *groupJob) *core.ShardedPipeline {
 			// per-stage wall measurements.
 			Timed: jm != nil || j.st.fb != nil,
 		},
-	}
-	if cfg.ShardTargets > 0 {
-		sp.PerShardTargets = cfg.ShardTargets
-		// Dense shards must not enumerate cover candidates pairwise (the
-		// candidate step is quadratic in points); the grid fast path keeps
-		// per-shard clustering linear well before a shard fills its target
-		// budget.
-		sp.Template.ClusterOpts.MaxCoverPoints = 256
-	} else {
-		// Unsharded runs plan every frame as the 1x1 identity grid.
-		sp.MaxShards = 1
+		MaxShards: 1,
 	}
 	if jm != nil {
 		sp.Template.ClusterOpts.MIP.Metrics = jm.m.solverCluster
@@ -196,8 +187,9 @@ func newFramePipeline(j *groupJob) *core.ShardedPipeline {
 		sp.FreeClusterState = cluster.PutSolverState
 	}
 	if custom := cfg.Scheduler; custom != nil {
-		// A custom scheduler is shared by every shard; Config.Workers'
-		// contract already requires it to be safe for concurrent use.
+		// A custom scheduler is shared by every group's pipeline;
+		// Config.Workers' contract already requires it to be safe for
+		// concurrent use.
 		sp.NewScheduler = func() sched.Scheduler { return custom }
 	} else {
 		// Frame-rate solves: bound the MIP search tightly; the polish pass
@@ -219,21 +211,14 @@ func newFramePipeline(j *groupJob) *core.ShardedPipeline {
 			}
 		}
 	}
-	if cfg.Workers != 1 {
-		workers := cfg.Workers
-		sp.Parallel = func(n int, fn func(int)) {
-			runParallel(poolWorkers(workers, n), n, fn)
-		}
-	}
 	return sp
 }
 
 // recapturePriority is the §4.7 recapture hook: detections at ground
 // cells this group already captured at high resolution are deprioritized
 // to a tenth of their score. capCells is read-only until executeSchedule
-// runs, after the frame solve, so concurrent shards need only the atomic
-// counter, whose total is the same set of detections for any worker
-// count.
+// runs, after the frame solve, so the hook writes nothing but the atomic
+// counter.
 func (j *groupJob) recapturePriority(lp geo.Point2) float64 {
 	if j.st.capCells[capCellKey(j.frame.ToGeodetic(lp))] {
 		j.recap.Add(1)
@@ -459,20 +444,13 @@ func (j *groupJob) run(untilS float64) error {
 			GSDM:   j.leader.LowRes.GSDM,
 		}
 		j.frame = frame
-		fres, sstats, err := j.pipe.ProcessFrame(cframe, fols, j.env, frameSeed(cfg.Seed, j.gi, frameIdx))
+		fres, _, err := j.pipe.ProcessFrame(cframe, fols, j.env, frameSeed(cfg.Seed, j.gi, frameIdx))
 		if err != nil {
 			return fmt.Errorf("sim: group %d frame %d: %w", j.gi, frameIdx, err)
 		}
 		recap := j.recap.Swap(0)
 		st.res.RecaptureSuppressed += int(recap)
 		if jm != nil {
-			jm.shardSolves.Add(int64(sstats.Shards))
-			if sstats.Shards > 1 {
-				jm.shardFrames.Inc()
-			}
-			jm.shardFallbacks.Add(int64(sstats.ClusterFallbacks + sstats.SchedFallbacks))
-			jm.shardDropped.Add(int64(sstats.DroppedCaptures))
-			jm.m.shardImbalanceMax.SetMax(sstats.Imbalance())
 			jm.detections.Add(int64(len(fres.Detections)))
 			jm.clusters.Add(int64(len(fres.Clusters)))
 			jm.schedSolves.Inc()
@@ -481,6 +459,9 @@ func (j *groupJob) run(untilS float64) error {
 			jm.span(stageSched, int64(fres.SchedWall))
 			if fres.Schedule.SolveStats.Fallback {
 				jm.schedFallbacks.Inc()
+			}
+			if fres.ClusterStats.Fallback {
+				jm.clusterFallbacks.Inc()
 			}
 			if recap > 0 {
 				jm.recaptureSuppressed.Add(recap)

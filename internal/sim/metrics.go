@@ -73,19 +73,9 @@ type simMetrics struct {
 	checkpointBytes    *obs.Counter
 
 	// Timing- and limit-dependent counters (machine-dependent).
-	missedDeadlines *obs.Counter
-	schedFallbacks  *obs.Counter
-
-	// Spatial-sharding series, live in every run: every frame runs
-	// through the sharded pipeline, and an unsharded frame is one 1x1
-	// shard solve. Deterministic -- the shard grid and per-shard loads are
-	// pure functions of the scenario. shardImbalanceMax is the largest
-	// per-frame max/mean shard target load seen so far.
-	shardFrames       *obs.Counter
-	shardSolves       *obs.Counter
-	shardFallbacks    *obs.Counter
-	shardDropped      *obs.Counter
-	shardImbalanceMax *obs.Gauge
+	missedDeadlines  *obs.Counter
+	schedFallbacks   *obs.Counter
+	clusterFallbacks *obs.Counter // covers not from the set-cover ILP
 
 	// Per-stage wall time: a scaled nanosecond total for cheap rate
 	// queries plus a histogram of span durations.
@@ -122,11 +112,7 @@ func newSimMetrics(r *obs.Registry) *simMetrics {
 		checkpointBytes:     r.Counter("eagleeye_checkpoint_bytes_total", "Bytes of simulation snapshots written."),
 		missedDeadlines:     r.Counter("eagleeye_missed_deadlines_total", "Frames whose compute plus scheduling exceeded the frame cadence (wall-clock dependent)."),
 		schedFallbacks:      r.Counter("eagleeye_sched_fallbacks_total", "Schedules produced by the greedy fallback after the ILP stopped without an incumbent."),
-		shardFrames:         r.Counter("eagleeye_shard_frames_total", "Frames processed by the sharded pipeline with at least two spatial shards."),
-		shardSolves:         r.Counter("eagleeye_shard_solves_total", "Per-shard pipeline solves (one per 1x1 frame, one per shard of a sharded frame)."),
-		shardFallbacks:      r.Counter("eagleeye_shard_fallbacks_total", "Shard solves whose cover or schedule came from a fallback path."),
-		shardDropped:        r.Counter("eagleeye_shard_dropped_captures_total", "Per-shard captures rejected by the cross-shard slew-feasibility re-check at stitch time."),
-		shardImbalanceMax:   r.Gauge("eagleeye_shard_imbalance_max", "Largest per-frame shard target imbalance (max/mean per-shard load) observed so far."),
+		clusterFallbacks:    r.Counter("eagleeye_cluster_fallbacks_total", "Frames whose cover fell back from the set-cover ILP to the greedy cover (too many candidates, or the solve failed)."),
 		progress:            r.Gauge("eagleeye_sim_progress", "Simulated-time fraction completed by the furthest-ahead job, 0 to 1."),
 		targetsTotal:        r.Gauge("eagleeye_targets_total", "Targets in the workload."),
 		targetsSeen:         r.Gauge("eagleeye_targets_seen", "Distinct targets seen in low-resolution frames (set at end of run)."),
@@ -163,10 +149,7 @@ type jobMetrics struct {
 	leaderReelections   obs.CounterShard
 	missedDeadlines     obs.CounterShard
 	schedFallbacks      obs.CounterShard
-	shardFrames         obs.CounterShard
-	shardSolves         obs.CounterShard
-	shardFallbacks      obs.CounterShard
-	shardDropped        obs.CounterShard
+	clusterFallbacks    obs.CounterShard
 
 	stageNS   [numStages]obs.CounterShard
 	stageHist [numStages]obs.HistogramShard
@@ -190,10 +173,7 @@ func (m *simMetrics) job(i int) *jobMetrics {
 		leaderReelections:   m.leaderReelections.Shard(i),
 		missedDeadlines:     m.missedDeadlines.Shard(i),
 		schedFallbacks:      m.schedFallbacks.Shard(i),
-		shardFrames:         m.shardFrames.Shard(i),
-		shardSolves:         m.shardSolves.Shard(i),
-		shardFallbacks:      m.shardFallbacks.Shard(i),
-		shardDropped:        m.shardDropped.Shard(i),
+		clusterFallbacks:    m.clusterFallbacks.Shard(i),
 	}
 	for s := stageID(0); s < numStages; s++ {
 		jm.stageNS[s] = m.stageNS[s].Shard(i)

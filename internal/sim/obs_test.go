@@ -59,6 +59,10 @@ func TestMetricsMatchResult(t *testing.T) {
 	if got := reg.GaugeValue("eagleeye_targets_captured"); got != float64(r.HighResCaptured) {
 		t.Errorf("eagleeye_targets_captured = %v, Result says %d", got, r.HighResCaptured)
 	}
+	// Every cover of this sparse world fits the cover ILP.
+	if got := reg.CounterValue("eagleeye_cluster_fallbacks_total"); got != 0 {
+		t.Errorf("eagleeye_cluster_fallbacks_total = %d, want 0", got)
+	}
 	if got := reg.GaugeValue("eagleeye_sim_progress"); got != 1 {
 		t.Errorf("eagleeye_sim_progress = %v at end of run", got)
 	}

@@ -79,22 +79,6 @@ type Config struct {
 	// ValidateSchedules re-checks every schedule against C1-C3 (slower;
 	// used by tests).
 	ValidateSchedules bool
-	// ShardTargets sets the spatial-sharding crossover of the frame
-	// pipeline (core.ShardedPipeline), which runs every leader frame.
-	// When positive, frames above ShardTargets targets are tiled into
-	// along-track x cross-track cells of about ShardTargets targets each
-	// (subject to a 2x-swath geometric floor; see core.PlanShards) and the
-	// detect/cluster/sched pipeline runs per shard, in parallel across
-	// Workers goroutines inside the frame, with a deterministic ordered
-	// merge; dense shards also take the grid-cover fast path above 256
-	// detections. Frames at or below ShardTargets targets run on one 1x1
-	// shard. This is a result-shaping knob (per-shard detector RNG
-	// streams, per-shard covers, cross-shard slew stitch), part of the
-	// scenario digest a snapshot is checked against -- unlike Workers,
-	// which never changes results. 0 (the default) keeps every frame on
-	// the 1x1 plan, the paper's per-frame leader pipeline, with results
-	// byte-identical to previous releases.
-	ShardTargets int
 	// RecaptureDedup enables the §4.7 recapture extension: each leader
 	// deprioritizes detections at ground positions its own group has
 	// already captured at high resolution, freeing follower time for new

@@ -35,23 +35,26 @@ func smallWorld(n int, seed int64) *dataset.Set {
 	return s
 }
 
-// denseWorld concentrates n targets tightly (sigma ~40 km) on the same
-// sites smallWorld uses, so single leader frames hold enough targets to
-// cross the spatial-sharding crossover.
-func denseWorld(n int, seed int64) *dataset.Set {
-	rng := rand.New(rand.NewSource(seed))
-	s := &dataset.Set{Name: "dense"}
-	centers := []geo.LatLon{
-		{Lat: 0, Lon: 0}, {Lat: 20, Lon: 40}, {Lat: -30, Lon: 120},
-		{Lat: 50, Lon: -80}, {Lat: -10, Lon: -60},
+// trackWorld puts n targets (sigma ~33 km) around each of the group-0
+// leader's sub-points at 10-minute intervals of the first 40 minutes, so
+// a 2-satellite run images frames holding hundreds of detections.
+func trackWorld(t *testing.T, n int) *dataset.Set {
+	t.Helper()
+	c, err := constellation.Build(constellation.Config{Kind: constellation.LeaderFollower, Satellites: 2}, DefaultEpoch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		c := centers[i%len(centers)]
-		s.Targets = append(s.Targets, dataset.Target{
-			ID:    i,
-			Pos:   geo.LatLon{Lat: c.Lat + rng.NormFloat64()*0.35, Lon: c.Lon + rng.NormFloat64()*0.35}.Normalize(),
-			Value: 0.5 + 0.5*rng.Float64(),
-		})
+	rng := rand.New(rand.NewSource(1))
+	s := &dataset.Set{Name: "track"}
+	for k := 1; k <= 4; k++ {
+		p := c.Groups[0].Leader.Prop.StateAtElapsed(float64(k) * 600).SubPoint
+		for i := 0; i < n; i++ {
+			s.Targets = append(s.Targets, dataset.Target{
+				ID:    len(s.Targets),
+				Pos:   geo.LatLon{Lat: p.Lat + rng.NormFloat64()*0.3, Lon: p.Lon + rng.NormFloat64()*0.3}.Normalize(),
+				Value: 0.5 + 0.5*rng.Float64(),
+			})
+		}
 	}
 	return s
 }
@@ -210,15 +213,6 @@ func TestWorkersDeterministic(t *testing.T) {
 			Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
 			App:           polarWorld(600, 53), DurationS: 4 * 3600, Seed: 7, RecaptureDedup: true,
 		}},
-		// Intra-frame sharding: a low crossover over a dense world, with
-		// the recapture hook on so the concurrent PriorityScale path is
-		// exercised. The Workers=4 run parallelizes both across groups and
-		// across shards inside a frame.
-		{"sharded", Config{
-			Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
-			App:           denseWorld(1500, 56), DurationS: 2 * 3600, Seed: 7,
-			ShardTargets: 48, RecaptureDedup: true,
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,51 +237,21 @@ func TestWorkersDeterministic(t *testing.T) {
 	}
 }
 
-func TestShardedSimEngages(t *testing.T) {
-	// Every leader frame runs through the sharded pipeline. Under
-	// ShardTargets, frames must actually fan out (the determinism case
-	// above would pass vacuously on 1-shard plans) and every stitched
-	// schedule must survive the C1-C3 re-check. In the default config
-	// every frame is one 1x1 shard solve, so the shard series are live
-	// and match the scheduler's. The registry is read after the run;
-	// shard counters are deterministic (the grid is a pure function of
-	// the scenario).
-	cases := []struct {
-		name  string
-		world *dataset.Set
-		shard int
-	}{{"sharded", denseWorld(1500, 56), 48}, {"default", smallWorld(1500, 50), 0}}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			r := run(t, Config{
-				Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
-				App:           tc.world, DurationS: 2 * 3600, Seed: 7,
-				ShardTargets: tc.shard, ValidateSchedules: true, Workers: 4, Metrics: reg,
-			})
-			if r.Captures == 0 || r.HighResCaptured == 0 {
-				t.Fatalf("run captured nothing: %+v", r)
-			}
-			shardFrames := reg.CounterValue("eagleeye_shard_frames_total")
-			shardSolves := reg.CounterValue("eagleeye_shard_solves_total")
-			schedSolves := reg.CounterValue("eagleeye_sched_solves_total")
-			if imb := reg.GaugeValue("eagleeye_shard_imbalance_max"); imb < 1 {
-				t.Errorf("max shard imbalance %v below 1", imb)
-			}
-			if tc.shard == 0 {
-				if shardFrames != 0 || shardSolves != schedSolves || schedSolves == 0 {
-					t.Errorf("default run: %d sharded frames, %d shard solves, %d sched solves; want 0 and equal nonzero solves",
-						shardFrames, shardSolves, schedSolves)
-				}
-				return
-			}
-			if shardFrames == 0 {
-				t.Fatal("no frame crossed the shard crossover; the world is not dense enough")
-			}
-			if shardSolves <= shardFrames {
-				t.Errorf("shard solves %d not above sharded frames %d", shardSolves, shardFrames)
-			}
-		})
+// TestClusterFallbacksCounted: frames whose cover has more candidates
+// than the simulator's cover ILP takes (MaxILPCandidates) fall back to the
+// greedy cover, and eagleeye_cluster_fallbacks_total counts them. No other
+// series or trace field shows these frames.
+func TestClusterFallbacksCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	run(t, Config{
+		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 2},
+		App:           trackWorld(t, 400), DurationS: 3600, Seed: 7,
+		Workers: 1, Metrics: reg,
+	})
+	fallbacks := reg.CounterValue("eagleeye_cluster_fallbacks_total")
+	solves := reg.CounterValue("eagleeye_sched_solves_total")
+	if fallbacks == 0 || fallbacks > solves {
+		t.Errorf("cluster fallbacks %d over %d frame solves; want between 1 and the solve count", fallbacks, solves)
 	}
 }
 

@@ -258,16 +258,6 @@ func configDigest(cfg Config, cons *constellation.Constellation) uint64 {
 		bw.i64(int64(ev.Group))
 		bw.i64(int64(ev.Follower))
 	}
-	if cfg.ShardTargets != 0 {
-		// Spatial sharding shapes results (per-shard RNG streams, stitched
-		// schedules), so it is scenario identity -- but it is hashed only
-		// when set, so digests of unsharded configs keep matching snapshots
-		// taken before the knob existed. v2: 1x1 frames of a sharded run
-		// draw detections from the frame seed itself, so v1 snapshots would
-		// replay into a different timeline and are rejected instead.
-		bw.str("shard-v2")
-		bw.i64(int64(cfg.ShardTargets))
-	}
 	return h.Sum64()
 }
 

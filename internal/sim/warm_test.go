@@ -3,9 +3,11 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eagleeye/internal/constellation"
+	"eagleeye/internal/obs"
 )
 
 // TestWarmStartResultIdentity is the simulator half of the warm-start
@@ -70,7 +72,9 @@ func TestWarmStartResultIdentity(t *testing.T) {
 // TestWarmStartSolverSavings pins the acceptance-level savings on the
 // benchmark workload shape: total sched B&B nodes + LP iterations must
 // drop by at least 30%% warm versus cold. The counts are exact integers
-// from deterministic solves, so this is stable across machines.
+// from deterministic solves, so this is stable across machines. The
+// warm-start counters must show the pipeline engaging for both solver
+// consumers on the warm run and stay silent on the cold one.
 func TestWarmStartSolverSavings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation in -short mode")
@@ -82,8 +86,32 @@ func TestWarmStartSolverSavings(t *testing.T) {
 	}
 	cold := cfg
 	cold.DisableWarmStart = true
+	cold.Metrics = obs.NewRegistry()
 	cr := run(t, cold)
-	wr := run(t, cfg)
+	warm := cfg
+	warm.Metrics = obs.NewRegistry()
+	wr := run(t, warm)
+	for _, solver := range []string{"sched", "cluster"} {
+		lbl := obs.Label{Key: "solver", Value: solver}
+		for _, name := range []string{"eagleeye_warmstart_accepted_total", "eagleeye_warmstart_basis_reuses_total"} {
+			if warm.Metrics.CounterValue(name, lbl) == 0 {
+				t.Errorf("warm run: %s{solver=%q} is 0", name, solver)
+			}
+		}
+		families := 0
+		for _, name := range cold.Metrics.Names() {
+			if !strings.HasPrefix(name, "eagleeye_warmstart_") {
+				continue
+			}
+			families++
+			if v := cold.Metrics.CounterValue(name, lbl); v != 0 {
+				t.Errorf("cold run: %s{solver=%q} = %d, want 0", name, solver, v)
+			}
+		}
+		if families == 0 {
+			t.Fatal("cold run registered no eagleeye_warmstart_* families")
+		}
+	}
 	coldWork := cr.SchedNodes + cr.SchedIters
 	warmWork := wr.SchedNodes + wr.SchedIters
 	if coldWork == 0 {
