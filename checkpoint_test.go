@@ -338,3 +338,66 @@ func TestContinuousTraceStitching(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRestoreSession feeds arbitrary bytes to RestoreSession, the reader
+// behind spool loading and POST /v1/sessions/restore: every input must
+// yield a session or an error, never a panic or a hang. The seeds are a
+// valid continuous-session checkpoint (built as
+// TestContinuousCheckpointRestore builds one), its truncations at the
+// header, mid-header and mid-snapshot, and two bodies whose length fields
+// lie: the 12-byte body claiming a 2^28-byte header and a header naming
+// 2e9 satellites. Those two must fail having allocated under 1 MiB.
+func FuzzRestoreSession(f *testing.F) {
+	s, err := NewSession(contCfg(12))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Step(StepOptions{Hours: 0.7}); err != nil {
+		f.Fatal(err)
+	}
+	var ck bytes.Buffer
+	if err := s.Checkpoint(&ck); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	valid := ck.Bytes()
+	if r, err := RestoreSession(bytes.NewReader(valid)); err != nil {
+		f.Fatalf("the valid seed does not restore: %v", err)
+	} else {
+		r.Close()
+	}
+	hdrEnd := 12 + int(binary.BigEndian.Uint32(valid[8:12]))
+	f.Add(valid)
+	f.Add(valid[:12])
+	f.Add(valid[:12+(hdrEnd-12)/2])
+	f.Add(valid[:hdrEnd+8+(len(valid)-hdrEnd-8)/2])
+
+	hugeHeader := append([]byte(sessMagic), 0x10, 0, 0, 0)
+	hj, err := json.Marshal(sessionHeader{Config: Config{Dataset: DatasetShips, Satellites: 2_000_000_000}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	manySats := binary.BigEndian.AppendUint32([]byte(sessMagic), uint32(len(hj)))
+	manySats = append(manySats, hj...)
+	bounded := map[string]bool{string(hugeHeader): true, string(manySats): true}
+	f.Add(hugeHeader)
+	f.Add(manySats)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := RestoreSession(bytes.NewReader(body))
+		runtime.ReadMemStats(&after)
+		switch {
+		case err == nil && s == nil:
+			t.Fatal("no session and no error")
+		case err != nil && s != nil:
+			t.Fatalf("a session and an error: %v", err)
+		case s != nil:
+			s.Close()
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; bounded[string(body)] && (err == nil || got >= 1<<20) {
+			t.Errorf("restoring a %d-byte body with a lying length field: error %v, allocated %d bytes, want an error under 1 MiB", len(body), err, got)
+		}
+	})
+}

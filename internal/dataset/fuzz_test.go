@@ -372,20 +372,23 @@ func walkBack(q geo.LatLon, brgDeg, distM float64) (geo.LatLon, float64) {
 // cell of full, a full-set NewIndex at the bucket start, keeping only the
 // targets live in the bucket: the same targets, in the same order. A
 // target keyed into a wrong cell shows here even when no query reaches
-// that cell.
+// that cell: reading a cell builds its block.
 func checkBucket(t *testing.T, tx *TimedIndex, full *Index, tq float64) {
 	t.Helper()
 	b := int64(math.Floor(tq / tx.bucketS))
 	tx.mu.RLock()
-	ix := tx.buckets[b]
+	bk, _ := tx.buckets[b].(*bucket)
 	tx.mu.RUnlock()
-	if ix == nil {
+	if bk == nil {
 		t.Fatalf("t=%v: bucket %d not built", tq, b)
 	}
-	for k := int64(0); k < ix.nrows*ix.stride; k++ {
-		got := ix.cell(k)
+	var got, want []int32
+	for k := int64(0); k < full.nrows*full.stride; k++ {
+		row, col := k/full.stride, k%full.stride
+		got = bk.span(got[:0], row, col, col)
+		want = full.span(want[:0], row, col, col)
 		n := 0
-		for _, i := range full.cell(k) {
+		for _, i := range want {
 			if !liveIn(&tx.set.Targets[i], b, tx.bucketS) {
 				continue
 			}

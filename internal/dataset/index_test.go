@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -271,4 +272,113 @@ func TestTimedIndexConcurrentOutside(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestPoleCourseKeysTopRow keys an airliner whose course passes within
+// rounding of the north pole. Its position after 1800 s once had a NaN
+// latitude, which Index.key filed in row 0, the south-polar row; it
+// belongs in the top row, where a query at the pole finds it.
+func TestPoleCourseKeysTopRow(t *testing.T) {
+	tgt := Target{
+		Pos:     geo.LatLon{Lat: 86.55758937980923, Lon: -153.1345928791959},
+		SpeedMS: 212.655069504936, HeadingDeg: -4.134721085902571e-14, Value: 1,
+	}
+	s := &Set{Name: "pole", Moving: true, Targets: []Target{tgt}}
+	ix := NewIndex(s, 2, 1800)
+	if row := ix.keyOf(tgt.PosAt(1800)) / ix.stride; row != ix.nrows-1 {
+		t.Errorf("position %v keys into row %d, want the top row %d", tgt.PosAt(1800), row, ix.nrows-1)
+	}
+	tx := NewTimedIndex(s, 2, 600)
+	if got := tx.Near(geo.LatLon{Lat: 90}, 10e3, 1800); len(got) != 1 {
+		t.Errorf("query at the pole found %v, want the target", got)
+	}
+}
+
+// TestTimedIndexKeysFewTargets pins the block-by-block bucket fill: one
+// frame-sized query over North America in bucket 7 of the airplane day
+// keys the targets near the blocks it reads -- under a fifth of the
+// bucket's live targets -- and returns what a full-set index returns.
+func TestTimedIndexKeysFewTargets(t *testing.T) {
+	s := Airplanes(1)
+	tx := NewTimedIndex(s, 2, 600)
+	const b = 7
+	ts := b*600 + 300.0
+	p := geo.LatLon{Lat: 40, Lon: -95}
+	got := activeAt(s, tx.Near(p, 150e3, ts), ts)
+	want := activeAt(s, NewIndex(s, 2, b*600).Near(p, 150e3, ts), ts)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d active candidates, full-set index %d", len(got), len(want))
+	}
+	live := 0
+	for i := range s.Targets {
+		if liveIn(&s.Targets[i], b, 600) {
+			live++
+		}
+	}
+	if tx.keyed == 0 || 5*tx.keyed >= live {
+		t.Errorf("one query keyed %d of %d live targets, want some and under 20%%", tx.keyed, live)
+	}
+}
+
+// TestTimedIndexConcurrentFirstTouch races block builds against reads of
+// built blocks, the parallel simulator's access pattern: eight goroutines
+// query overlapping points of the same and adjacent buckets of an
+// airplane day (buckets 5 to 7, across an epoch boundary), and every
+// result must equal the same query on a fresh index queried from one
+// goroutine.
+func TestTimedIndexConcurrentFirstTouch(t *testing.T) {
+	s := Airplanes(2)
+	type query struct {
+		p     geo.LatLon
+		r, ts float64
+	}
+	var qs [8][]query
+	for w := range qs {
+		for i := 0; i < 40; i++ {
+			qs[w] = append(qs[w], query{
+				p:  geo.LatLon{Lat: 30 + float64((w+i)%5)*3, Lon: -100 + float64((3*w+i)%8)*2.5},
+				r:  150e3,
+				ts: 3000 + float64((w+i)%3)*600 + float64(i%7)*40,
+			})
+		}
+	}
+	tx := NewTimedIndex(s, 2, 600)
+	got := make([][][]int32, len(qs))
+	var wg sync.WaitGroup
+	for w := range qs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var scratch []int32
+			for _, q := range qs[w] {
+				scratch = tx.NearInto(q.p, q.r, q.ts, scratch[:0])
+				got[w] = append(got[w], slices.Clone(scratch))
+			}
+		}(w)
+	}
+	wg.Wait()
+	ref := NewTimedIndex(s, 2, 600)
+	for w := range qs {
+		for i, q := range qs[w] {
+			if want := ref.Near(q.p, q.r, q.ts); !slices.Equal(got[w][i], want) {
+				t.Fatalf("goroutine %d query %d: %d candidates, single-goroutine index %d", w, i, len(got[w][i]), len(want))
+			}
+		}
+	}
+}
+
+// TestTimedIndexNonFiniteCourse keys targets whose course is NaN -- a
+// NaN speed or heading, which Set.Validate does not reject -- where a
+// full-set NewIndex files them, beside an ordinary target, without
+// panicking on the NaN epoch position.
+func TestTimedIndexNonFiniteCourse(t *testing.T) {
+	s := &Set{Name: "nan", Moving: true, Targets: []Target{
+		{ID: 0, Pos: geo.LatLon{Lat: 10, Lon: 20}, SpeedMS: math.NaN(), HeadingDeg: 45, Value: 1},
+		{ID: 1, Pos: geo.LatLon{Lat: -30, Lon: 100}, SpeedMS: 250, HeadingDeg: math.NaN(), Value: 1},
+		{ID: 2, Pos: geo.LatLon{Lat: 40, Lon: -95}, SpeedMS: 250, HeadingDeg: 90, Value: 1},
+	}}
+	const at = 3 * 600.0
+	tx := NewTimedIndex(s, 2, 600)
+	tx.Near(geo.LatLon{Lat: -89}, 1e5, at)
+	checkBucket(t, tx, NewIndex(s, 2, at), at)
 }

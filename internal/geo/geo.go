@@ -253,6 +253,13 @@ func (c Course) At(distM float64) LatLon {
 	delta := distM / EarthMeanRadius
 	sinD, cosD := math.Sin(delta), math.Cos(delta)
 	sinLa2 := c.sinLat*cosD + c.cosLat*sinD*c.cosBrg
+	// Rounding can carry a course through a pole just past ±1, where
+	// Asin returns NaN; clamp as GreatCircleDistance does.
+	if sinLa2 > 1 {
+		sinLa2 = 1
+	} else if sinLa2 < -1 {
+		sinLa2 = -1
+	}
 	la2 := math.Asin(sinLa2)
 	y := c.sinBrg * sinD * c.cosLat
 	x := cosD - c.sinLat*sinLa2

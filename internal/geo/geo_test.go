@@ -294,7 +294,8 @@ func TestStringers(t *testing.T) {
 
 // destinationOracle is the spherical destination formula as it stood
 // before Course cached the start point's trigonometry, every term
-// evaluated from scratch. It is kept verbatim as the bit-identity oracle
+// evaluated from scratch, with sin(lat2) clamped to [-1, 1] as every
+// other asin argument in the package is. It is the bit-identity oracle
 // for Destination and Course.At.
 func destinationOracle(p LatLon, bearingDeg, distM float64) LatLon {
 	delta := distM / EarthMeanRadius
@@ -302,6 +303,7 @@ func destinationOracle(p LatLon, bearingDeg, distM float64) LatLon {
 	la1 := Deg2Rad(p.Lat)
 	lo1 := Deg2Rad(p.Lon)
 	sinLa2 := math.Sin(la1)*math.Cos(delta) + math.Cos(la1)*math.Sin(delta)*math.Cos(theta)
+	sinLa2 = math.Max(-1, math.Min(1, sinLa2))
 	la2 := math.Asin(sinLa2)
 	y := math.Sin(theta) * math.Sin(delta) * math.Cos(la1)
 	x := math.Cos(delta) - math.Sin(la1)*sinLa2
@@ -342,6 +344,26 @@ func TestDestinationBitIdentical(t *testing.T) {
 					check(LatLon{Lat: lat, Lon: lon}, brg, d)
 				}
 			}
+		}
+	}
+	// Courses through a pole, where rounding carries sin(lat2) past 1:
+	// an airliner heading a rounding error west of north from 86.56 N
+	// (its position after 1800 s once came out NaN), and meridian
+	// courses reaching each pole exactly.
+	poleCourses := []struct {
+		p      LatLon
+		brg, d float64
+	}{
+		{LatLon{Lat: 86.55758937980923, Lon: -153.1345928791959}, -4.134721085902571e-14, 212.655069504936 * 1800},
+		{LatLon{Lat: 45, Lon: 10}, 0, math.Pi / 4 * EarthMeanRadius},
+		{LatLon{Lat: -45, Lon: -170}, 180, math.Pi / 4 * EarthMeanRadius},
+		{LatLon{Lat: 0, Lon: 0}, 0, math.Pi / 2 * EarthMeanRadius},
+	}
+	for _, c := range poleCourses {
+		check(c.p, c.brg, c.d)
+		got := Destination(c.p, c.brg, c.d)
+		if !(got.Lat >= -90 && got.Lat <= 90) {
+			t.Errorf("Destination(%v, %v, %v) latitude %v, want within [-90, 90]", c.p, c.brg, c.d, got.Lat)
 		}
 	}
 
