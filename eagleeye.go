@@ -116,6 +116,14 @@ const (
 // sizing that allocation.
 const MaxSatellites = 1000
 
+// MaxDurationHours bounds Config.DurationHours and a windowed step's
+// hours. A run simulates every frame of its span, so a span whose
+// seconds overflow to +Inf (1e308 h) never ends. The bound is one year,
+// 52× the longest scenario in this repository (the 168 h long-horizon
+// runs), and stops an untrusted scenario -- a POST /v1/sessions body, a
+// step body or a checkpoint header -- from holding a worker for good.
+const MaxDurationHours = 8760
+
 // Config selects a constellation simulation. Zero fields take the paper's
 // defaults (§5.3): leader-follower organization, one follower per group,
 // ILP scheduling, YOLO-nano detection, 3 deg/s slew, 24 h.
@@ -140,7 +148,8 @@ type Config struct {
 	Detector string
 	// SlewRateDegS overrides the ADACS rate (default 3).
 	SlewRateDegS float64
-	// DurationHours is the simulated span (default 24).
+	// DurationHours is the simulated span, at most MaxDurationHours
+	// (default 24).
 	DurationHours float64
 	// Seed fixes all randomness (default 1).
 	Seed int64
@@ -357,6 +366,9 @@ func toSimConfig(cfg Config) (sim.Config, error) {
 	}
 	if sats > MaxSatellites {
 		return out, fmt.Errorf("eagleeye: %d satellites exceeds the bound of %d", sats, MaxSatellites)
+	}
+	if cfg.DurationHours > MaxDurationHours {
+		return out, fmt.Errorf("eagleeye: %v h duration exceeds the bound of %d h", cfg.DurationHours, MaxDurationHours)
 	}
 	out.Constellation = constellation.Config{
 		Kind:              kind,

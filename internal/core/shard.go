@@ -138,11 +138,13 @@ func (s ShardFrameStats) Imbalance() float64 {
 // shardUnit is one shard's private pipeline: its own scratch, RNG, warm
 // cluster state and scheduler, so shards never share mutable state and
 // the intra-frame parallel section stays race-free. Unit k always
-// processes shard k, whichever worker runs it.
+// processes shard k, whichever worker runs it. Its RNG is a frameSource,
+// math/rand's default source with an O(1) reseed, so reseeding it every
+// frame costs only the draws the frame makes.
 type shardUnit struct {
 	pipe         Pipeline
 	clusterState *cluster.SolverState
-	src          rand.Source
+	src          *frameSource
 	truth        []geo.Point2
 	truthIdx     []int32 // shard-local detection truth index -> frame truth index
 	res          Result
@@ -204,7 +206,7 @@ func shardSeed(frameSeed int64, k int) int64 {
 // ensureUnits grows the persistent unit list to n shards.
 func (sp *ShardedPipeline) ensureUnits(n int) {
 	for len(sp.units) < n {
-		u := &shardUnit{pipe: sp.Template, src: rand.NewSource(1)}
+		u := &shardUnit{pipe: sp.Template, src: newFrameSource(1)}
 		u.pipe.Scheduler = sp.NewScheduler()
 		u.pipe.Rng = rand.New(u.src)
 		u.pipe.ClusterOpts.State = nil

@@ -237,21 +237,15 @@ func TestShardedFrameWorkersIdentity(t *testing.T) {
 // TestShardedSingleShardMatchesPlain pins the crossover contract: below
 // the density threshold the sharded pipeline is the plain pipeline (one
 // shard, full-frame bounds, the frame seed as the detector seed, no
-// stitch), so the 1x1 plan is the paper's leader pipeline exactly.
+// stitch), so the 1x1 plan is the paper's leader pipeline exactly. One
+// sharded pipeline runs a sequence of frames against a plain pipeline
+// on math/rand's stock source: the 600-target frames draw past the
+// point where the unit's source has generated its whole register, and
+// the small ones (the simulator's regime) stop while it is partly
+// generated, each after a frame that drew a different amount.
 func TestShardedSingleShardMatchesPlain(t *testing.T) {
 	sp := shardedPipeline(1 << 20)
 	defer sp.Close()
-	truth := denseTruth(600, 100e3, 100e3, 21)
-	f, fols := frameAhead(truth)
-	const seed = 777
-	got, stats, err := sp.ProcessFrame(f, fols, env(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Shards != 1 {
-		t.Fatalf("sparse frame sharded: %+v", stats)
-	}
-
 	plain := Pipeline{
 		Detector:      detect.YoloN(),
 		Tiling:        detect.PaperTiling(),
@@ -259,25 +253,41 @@ func TestShardedSingleShardMatchesPlain(t *testing.T) {
 		ClusterOpts:   cluster.Options{MaxCoverPoints: 256, MaxILPCandidates: 400, MIP: slowSafe, State: cluster.NewSolverState()},
 		Scheduler:     sched.ILP{State: sched.NewSolverState(), MIP: slowSafe},
 		HighResSwathM: 10e3,
-		Rng:           rand.New(rand.NewSource(seed)),
 	}
-	want, err := plain.ProcessFrame(f, fols, env())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Detections, want.Detections) {
-		t.Error("detections diverge from the plain pipeline")
-	}
-	if !reflect.DeepEqual(got.Clusters, want.Clusters) {
-		t.Error("clusters diverge from the plain pipeline")
-	}
-	if !reflect.DeepEqual(got.Schedule.Captures, want.Schedule.Captures) {
-		t.Error("captures diverge from the plain pipeline")
-	}
-	if got.Schedule.Value != want.Schedule.Value {
-		t.Errorf("value %v != plain %v", got.Schedule.Value, want.Schedule.Value)
-	}
-	if got.CrosslinkBytes != want.CrosslinkBytes {
-		t.Errorf("crosslink %v != plain %v", got.CrosslinkBytes, want.CrosslinkBytes)
+	for i, n := range []int{600, 3, 1, 40, 600, 2} {
+		truth := denseTruth(n, 100e3, 100e3, int64(21+i))
+		f, fols := frameAhead(truth)
+		seed := int64(777 + 1000*i)
+		got, stats, err := sp.ProcessFrame(f, fols, env(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Shards != 1 {
+			t.Fatalf("frame %d: sparse frame sharded: %+v", i, stats)
+		}
+		if live := sp.units[0].src.n == rngLive; live != (n == 600) {
+			t.Fatalf("frame %d (%d targets): whole register generated = %v, want %v", i, n, live, n == 600)
+		}
+
+		plain.Rng = rand.New(rand.NewSource(seed))
+		want, err := plain.ProcessFrame(f, fols, env())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Detections, want.Detections) {
+			t.Errorf("frame %d (%d targets): detections diverge from the plain pipeline", i, n)
+		}
+		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+			t.Errorf("frame %d (%d targets): clusters diverge from the plain pipeline", i, n)
+		}
+		if !reflect.DeepEqual(got.Schedule.Captures, want.Schedule.Captures) {
+			t.Errorf("frame %d (%d targets): captures diverge from the plain pipeline", i, n)
+		}
+		if got.Schedule.Value != want.Schedule.Value {
+			t.Errorf("frame %d (%d targets): value %v != plain %v", i, n, got.Schedule.Value, want.Schedule.Value)
+		}
+		if got.CrosslinkBytes != want.CrosslinkBytes {
+			t.Errorf("frame %d (%d targets): crosslink %v != plain %v", i, n, got.CrosslinkBytes, want.CrosslinkBytes)
+		}
 	}
 }

@@ -143,6 +143,11 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "hours must be non-negative"})
 		return
 	}
+	if req.Hours > eagleeye.MaxDurationHours {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{
+			Error: fmt.Sprintf("hours must be at most %d", eagleeye.MaxDurationHours)})
+		return
+	}
 	s.runBlocking(w, r, e, req.Hours)
 }
 

@@ -215,6 +215,72 @@ func TestCreateBoundsSatellites(t *testing.T) {
 	}
 }
 
+// TestCreateAndStepBoundDuration: create and step bodies naming a span
+// above eagleeye.MaxDurationHours are refused with 400. A 1e308 h span
+// overflows to +Inf seconds, so its run would hold a worker forever.
+func TestCreateAndStepBoundDuration(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(0)
+	h := s.Handler()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec
+	}
+	for _, body := range []string{
+		`{"dataset":"ships","duration_hours":1e308}`,
+		`{"dataset":"ships","duration_hours":8761}`,
+	} {
+		if rec := post("/v1/sessions", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("create %s = %d, want 400: %s", body, rec.Code, rec.Body)
+		}
+	}
+	e, aerr := s.createSession(testScenario(0.2))
+	if aerr != nil {
+		t.Fatal(aerr.msg)
+	}
+	for _, body := range []string{`{"hours":1e308}`, `{"hours":8761}`} {
+		if rec := post("/v1/sessions/"+e.id+"/step", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("step %s = %d, want 400: %s", body, rec.Code, rec.Body)
+		}
+	}
+}
+
+// FuzzCreateBody: any create body gets 201 or a 4xx, never a panic, and
+// a created session stays within the duration and satellite bounds.
+func FuzzCreateBody(f *testing.F) {
+	f.Add(`{"dataset":"ships","duration_hours":1e308}`)
+	f.Add(`{"dataset":"ships","duration_hours":8761}`)
+	f.Add(`{"dataset":"ships","satellites":2000000000}`)
+	f.Add(`{"dataset":"ships","satellites":4,"duration_hours":8760}`)
+	s := New(Config{})
+	defer s.Shutdown(0)
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(body)))
+		if rec.Code != http.StatusCreated {
+			if rec.Code < 400 || rec.Code > 499 {
+				t.Fatalf("create %q = %d, want 201 or 4xx: %s", body, rec.Code, rec.Body)
+			}
+			return
+		}
+		var info SessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		e := s.lookup(info.ID)
+		if e == nil {
+			t.Fatalf("created session %q not in the table", info.ID)
+		}
+		cfg := e.sess.Config()
+		s.deleteSession(info.ID)
+		if cfg.DurationHours > eagleeye.MaxDurationHours || cfg.Satellites > eagleeye.MaxSatellites {
+			t.Fatalf("create %q made a session of %v h and %d satellites", body, cfg.DurationHours, cfg.Satellites)
+		}
+	})
+}
+
 // TestStepAccumulatesAggregate pins the windowed-session semantics.
 func TestStepAccumulatesAggregate(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -95,7 +95,8 @@ func (sc ScenarioConfig) toConfig() eagleeye.Config {
 // StepRequest is the body for POST /v1/sessions/{id}/step.
 type StepRequest struct {
 	// Hours is the simulated span of this step; 0 means the session's
-	// full configured duration.
+	// full configured duration. It must lie in [0,
+	// eagleeye.MaxDurationHours].
 	Hours float64 `json:"hours,omitempty"`
 }
 

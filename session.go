@@ -141,7 +141,8 @@ func (s *Session) Close() {
 type StepOptions struct {
 	// Hours is the simulated span of this step; 0 means the session's full
 	// configured duration (in continuous mode: the remainder of it).
-	// Negative or non-finite values are rejected.
+	// Negative or non-finite values are rejected, and so in windowed mode
+	// is a span above MaxDurationHours.
 	Hours float64
 	// Trace, when non-nil, receives this step's frame trace (overriding
 	// any writer in the session Config). In continuous mode the override

@@ -3,6 +3,7 @@ package eagleeye
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSessionRejectsBadConfig(t *testing.T) {
@@ -11,6 +12,37 @@ func TestSessionRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := NewSession(Config{Dataset: "nope"}); err == nil {
 		t.Error("unknown dataset accepted at session creation")
+	}
+}
+
+// TestSessionBoundsDuration: a span above MaxDurationHours fails at
+// session creation and on a windowed step, before anything is built or
+// simulated. 1e308 h overflows to +Inf seconds, a run that never ends.
+func TestSessionBoundsDuration(t *testing.T) {
+	over := []float64{1e308, MaxDurationHours + 1}
+	for _, h := range over {
+		if _, err := NewSession(Config{Dataset: DatasetShips, DurationHours: h}); err == nil {
+			t.Errorf("NewSession accepted a %v h duration", h)
+		}
+	}
+	s, err := NewSession(Config{Dataset: DatasetShips, DurationHours: MaxDurationHours})
+	if err != nil {
+		t.Fatalf("NewSession rejected the bound itself: %v", err)
+	}
+	for _, h := range over {
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Step(StepOptions{Hours: h})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("windowed Step accepted %v h", h)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("windowed Step of %v h still running after 10 s", h)
+		}
 	}
 }
 
