@@ -145,10 +145,10 @@ serve-smoke:
 
 # Long-horizon durability smoke, mirroring the PR 7 acceptance criteria.
 # Phase 1: the week-long simulations -- a static world with mid-week
-# fault events, and a moving world of 20k targets re-indexed every 600 s
+# fault events, and a moving world of 20k targets re-indexed every hour
 # -- must complete with the live heap under a fixed ceiling. The tests
 # assert it via runtime.MemStats, which catches any regression back to
-# per-frame result state or to an index that keeps every bucket it has
+# per-frame result state or to an index that keeps every epoch it has
 # built. Phase 2: kill-restore-verify for
 # eagleeyed -- create a continuous session with a scheduled fault, step
 # it partway, SIGTERM the daemon (spooling the session to

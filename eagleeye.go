@@ -345,7 +345,22 @@ func resultFromSim(r *sim.Result, satellites int) *Result {
 	return out
 }
 
+// toSimConfig checks cfg and translates it into a simulator config,
+// generating its named dataset.
 func toSimConfig(cfg Config) (sim.Config, error) {
+	out, err := checkConfig(cfg)
+	if err != nil || out.App != nil {
+		return out, err
+	}
+	out.App, err = dataset.ByName(cfg.Dataset, out.Seed)
+	return out, err
+}
+
+// checkConfig checks cfg and translates it into a simulator config,
+// leaving App nil for a named dataset: the name is checked, but its
+// targets are generated only by toSimConfig, so a session is created
+// without building a world it would build again on its first step.
+func checkConfig(cfg Config) (sim.Config, error) {
 	var out sim.Config
 
 	kind := constellation.LeaderFollower
@@ -398,15 +413,9 @@ func toSimConfig(cfg Config) (sim.Config, error) {
 		}
 		out.App = set
 	case cfg.Dataset != "":
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		set, err := dataset.ByName(cfg.Dataset, seed)
-		if err != nil {
+		if _, err := dataset.Generator(cfg.Dataset); err != nil {
 			return out, err
 		}
-		out.App = set
 	default:
 		return out, fmt.Errorf("eagleeye: set Dataset or Targets")
 	}

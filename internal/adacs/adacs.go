@@ -127,10 +127,17 @@ func ActuationTimeS(m SlewModel, sub1, p1, p2 geo.Point2, groundSpeedMS, altM fl
 	}
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
+		// Once the midpoint rounds to an end of the bracket, this step
+		// leaves a bracket whose midpoint is that same end, so every later
+		// step repeats it: the bracket is final.
+		final := mid == lo || mid == hi
 		if m.MaxAngDeg(mid) >= need(mid) {
 			hi = mid
 		} else {
 			lo = mid
+		}
+		if final {
+			break
 		}
 	}
 	return hi

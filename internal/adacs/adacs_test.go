@@ -2,6 +2,7 @@ package adacs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,76 @@ func TestActuationTimePaperScale(t *testing.T) {
 	dt := ActuationTimeS(m, sub, pt(-5e3, 30e3), pt(5e3, 30e3), vGround, altM)
 	if dt < 0.67 || dt > 3 {
 		t.Errorf("cross-swath repoint dt = %v s", dt)
+	}
+}
+
+// actuationTime80 is ActuationTimeS with its bisection always running all
+// 80 halvings: the reference the early stop must reproduce.
+func actuationTime80(m SlewModel, sub1, p1, p2 geo.Point2, groundSpeedMS, altM float64) float64 {
+	need := func(dt float64) float64 {
+		sub2 := geo.Point2{X: sub1.X, Y: sub1.Y + groundSpeedMS*dt}
+		return PointingAngleDeg(sub1, p1, sub2, p2, altM)
+	}
+	if need(0) < 1e-9 {
+		return 0
+	}
+	lo, hi := 0.0, m.OverheadS+need(0)/m.RateDegS
+	for i := 0; i < 60 && m.MaxAngDeg(hi) < need(hi); i++ {
+		hi *= 2
+		if hi > 1e4 {
+			return math.Inf(1)
+		}
+	}
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if m.MaxAngDeg(mid) >= need(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// TestActuationTimeBisectionBitIdentical compares ActuationTimeS bit for
+// bit with the 80-halving reference on a million random geometries:
+// several slew models (one slow enough that far targets are unreachable),
+// altitudes from 1 km to 1000 km, separations from zero (the same target)
+// to 1000 km, and ground speeds from standing still to 8 km/s.
+func TestActuationTimeBisectionBitIdentical(t *testing.T) {
+	models := []SlewModel{PaperSlew(), HighEndSlew(), {RateDegS: 0.5}, {RateDegS: 30, OverheadS: 3}, {RateDegS: 0.005, OverheadS: 0.2}}
+	rng := rand.New(rand.NewSource(1))
+	pt := func(scale float64) geo.Point2 {
+		return geo.Point2{X: (2*rng.Float64() - 1) * scale, Y: (2*rng.Float64() - 1) * scale}
+	}
+	var zero, inf int
+	for n := 0; n < 1_000_000; n++ {
+		m := models[n%len(models)]
+		scale := math.Pow(10, 2+4*rng.Float64())
+		sub1, p1 := pt(scale), pt(scale)
+		p2 := pt(scale)
+		if n%10 == 0 {
+			p2 = p1
+		}
+		v := 8000 * rng.Float64()
+		if n%7 == 0 {
+			v = 0
+		}
+		alt := math.Pow(10, 3+3*rng.Float64())
+		got := ActuationTimeS(m, sub1, p1, p2, v, alt)
+		want := actuationTime80(m, sub1, p1, p2, v, alt)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d (%+v, %v, %v, %v, v %v, alt %v): %v, 80 halvings %v", n, m, sub1, p1, p2, v, alt, got, want)
+		}
+		switch {
+		case want == 0:
+			zero++
+		case math.IsInf(want, 1):
+			inf++
+		}
+	}
+	if zero == 0 || inf == 0 {
+		t.Errorf("%d zero and %d unreachable cases: the edges are not exercised", zero, inf)
 	}
 }
 

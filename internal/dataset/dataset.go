@@ -85,8 +85,12 @@ type region struct {
 // uniform background fraction.
 func sampleClustered(rng *rand.Rand, n int, regions []region, backgroundFrac float64, maxAbsLat float64) []geo.LatLon {
 	totalW := 0.0
-	for _, r := range regions {
+	// lonDiv[k] widens region k's longitude spread by 1/cos(latitude),
+	// floored at 0.2 so polar regions stay bounded.
+	lonDiv := make([]float64, len(regions))
+	for k, r := range regions {
 		totalW += r.weight
+		lonDiv[k] = math.Max(0.2, math.Cos(geo.Deg2Rad(r.lat)))
 	}
 	out := make([]geo.LatLon, 0, n)
 	for len(out) < n {
@@ -101,19 +105,17 @@ func sampleClustered(rng *rand.Rand, n int, regions []region, backgroundFrac flo
 		}
 		// Pick a region by weight.
 		w := rng.Float64() * totalW
-		var reg region
-		for _, r := range regions {
+		k := len(regions) - 1
+		for i, r := range regions {
 			if w < r.weight {
-				reg = r
+				k = i
 				break
 			}
 			w -= r.weight
 		}
-		if reg.weight == 0 {
-			reg = regions[len(regions)-1]
-		}
+		reg := regions[k]
 		lat := reg.lat + rng.NormFloat64()*reg.spreadDeg
-		lon := reg.lon + rng.NormFloat64()*reg.spreadDeg/math.Max(0.2, math.Cos(geo.Deg2Rad(reg.lat)))
+		lon := reg.lon + rng.NormFloat64()*reg.spreadDeg/lonDiv[k]
 		if math.Abs(lat) > maxAbsLat {
 			continue
 		}
@@ -279,17 +281,27 @@ func OilTanks(seed int64) *Set {
 // ByName returns the named standard dataset ("ships", "airplanes",
 // "lakes-166k", "lakes-1.4m", "oiltanks").
 func ByName(name string, seed int64) (*Set, error) {
+	gen, err := Generator(name)
+	if err != nil {
+		return nil, err
+	}
+	return gen(seed), nil
+}
+
+// Generator returns the generator of the named standard dataset, so that
+// a name can be checked without generating its targets.
+func Generator(name string) (func(seed int64) *Set, error) {
 	switch name {
 	case "ships":
-		return Ships(seed), nil
+		return Ships, nil
 	case "airplanes":
-		return Airplanes(seed), nil
+		return Airplanes, nil
 	case "lakes-166k":
-		return LakesSmallScenario(seed), nil
+		return LakesSmallScenario, nil
 	case "lakes-1.4m":
-		return LakesLargeScenario(seed), nil
+		return LakesLargeScenario, nil
 	case "oiltanks":
-		return OilTanks(seed), nil
+		return OilTanks, nil
 	}
 	return nil, fmt.Errorf("dataset: unknown dataset %q", name)
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,16 +158,17 @@ func FuzzNearConsistency(f *testing.F) {
 }
 
 // FuzzTimedIndexSpanDifferential checks the moving-set index against the
-// full-set build it replaces. A TimedIndex bucket indexes only the targets
-// alive in it, keyed from cached unit-vector courses, and retired buckets
-// hand their storage to later builds; yet every cell must hold exactly the
-// live targets a full-set NewIndex at the bucket start puts there, so
-// every query, filtered by ActiveAt as the simulator filters it, returns
-// the same targets in the same order. Outside must never reject a target
-// whose Target.PosAt lies within the query radius.
+// full-set build it replaces. A query sweeps an hourly epoch index for a
+// superset of the targets within its radius, an exact filter keeps the
+// ones there, and Order puts them back in the order a full-set NewIndex
+// at the bucket start lists them for the same query: the same targets,
+// repeats included, in the same order. Every target within the radius
+// must be swept, every live target keyed into the cell NewIndex files it
+// in, and Outside must never reject a target whose Target.PosAt lies
+// within the radius.
 // Queries walk forward in time with a Retire at or before each one, the
 // simulator's window pattern, and every few steps look back a bucket,
-// often into one already retired, which must rebuild identically.
+// often into an epoch already retired, which must rebuild identically.
 func FuzzTimedIndexSpanDifferential(f *testing.F) {
 	f.Add(int64(1), 12.0, 34.0, 300e3, 1234.5, 0.5, 2.0, 600.0)
 	f.Add(int64(2), 79.5, -179.0, 900e3, 86399.0, 1.0, 2.0, 600.0)
@@ -191,6 +193,13 @@ func FuzzTimedIndexSpanDifferential(f *testing.F) {
 	f.Add(int64(14), 33.3, -33.3, 300e3, 1e5, 0.5, 3.6, 600.0)
 	f.Add(int64(15), 0.0, 0.0, 5e6, 7777.0, 0.5, 10.0, 3600.0)
 	f.Add(int64(16), -87.5, 120.0, 1.5e6, 43210.0, 0.9, 0.55, 900.0)
+	// At this latitude a 300 km walk over 0.7-degree cells repeats rows
+	// 85 and 88 and skips row 86. At 300e3 the full-set index walks so at
+	// the bucket start, and Order must repeat and drop the same targets;
+	// at 299e3 the sweep, unpadded at the epoch midpoint, walks 300 km and
+	// must miss no row.
+	f.Add(int64(17), -29.197297297297304, 10.0, 300e3, 1800.0, 0.5, 0.7, 600.0)
+	f.Add(int64(18), -29.197297297297304, 10.0, 299e3, 1800.0, 0.5, 0.7, 600.0)
 	f.Fuzz(func(t *testing.T, seed int64, lat, lon, radiusM, ts, retireFrac, cellDeg, bucketS float64) {
 		if !(lat >= -90 && lat <= 90) || !(lon >= -360 && lon <= 360) {
 			t.Skip()
@@ -205,13 +214,15 @@ func FuzzTimedIndexSpanDifferential(f *testing.F) {
 		p := geo.LatLon{Lat: lat, Lon: lon}.Normalize()
 		s := spanFuzzSet(rng, p, ts, bucketS)
 		addBoundaryTargets(s, seed, ts, cellDeg, bucketS)
+		addNonFiniteCourses(s, seed, p)
 		tx := NewTimedIndex(s, cellDeg, bucketS)
-		// offZero records a bucket built off t = 0, where moving targets
+		var sc OrderScratch
+		// offZero records a query off t = 0's bucket, where moving targets
 		// are keyed from their courses: the pole-start targets there always
 		// take the exact fallback, and exact counts it.
-		offZero := false
+		offZero, exact := false, 0
 		defer func() {
-			if offZero && tx.exact == 0 {
+			if offZero && exact == 0 {
 				t.Errorf("no key took the exact fallback")
 			}
 		}()
@@ -219,17 +230,20 @@ func FuzzTimedIndexSpanDifferential(f *testing.F) {
 			t.Helper()
 			start := float64(int64(math.Floor(tq/bucketS))) * bucketS
 			full := NewIndex(s, cellDeg, start)
-			want := activeAt(s, full.NearInto(p, r, tq, nil), tq)
-			got := activeAt(s, tx.NearInto(p, r, tq, nil), tq)
-			if len(got) != len(want) {
-				t.Fatalf("t=%v: %d active candidates, full-set index %d", tq, len(got), len(want))
+			want := within(s, full.NearInto(p, r, tq, nil), p, r, tq)
+			swept := tx.NearInto(p, r, tq, nil)
+			got := inOrder(tx, within(s, swept, p, r, tq), p, r, tq, &sc)
+			if !slices.Equal(got, want) {
+				t.Fatalf("t=%v: ordered sweep %v, full-set index %v", tq, got, want)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("t=%v: candidate %d is %d, full-set index has %d", tq, i, got[i], want[i])
-				}
+			all := make([]int32, len(s.Targets))
+			for i := range all {
+				all[i] = int32(i)
 			}
-			checkBucket(t, tx, full, tq)
+			if in, sw := within(s, all, p, r, tq), within(s, swept, p, r, tq); len(in) != len(sw) {
+				t.Fatalf("t=%v: sweep holds %d of the %d targets within the radius", tq, len(sw), len(in))
+			}
+			exact += checkKeys(t, tx, full)
 			if start != 0 {
 				offZero = true
 			}
@@ -346,6 +360,28 @@ func addBoundaryTargets(s *Set, seed int64, ts, cellDeg, bucketS float64) {
 	}
 }
 
+// addNonFiniteCourses appends live targets near center whose course is
+// NaN -- a NaN speed or heading, which Set.Validate does not reject.
+// Target.PosAt puts them at Pos at t = 0 and at NaN after, so a query at
+// t = 0 must find them. They come from their own generator, like
+// addBoundaryTargets.
+func addNonFiniteCourses(s *Set, seed int64, center geo.LatLon) {
+	rng := rand.New(rand.NewSource(seed ^ 0x4e614e))
+	for i := 0; i < 6; i++ {
+		tgt := Target{
+			ID:         len(s.Targets),
+			Pos:        geo.LatLon{Lat: center.Lat + rng.NormFloat64(), Lon: center.Lon + rng.NormFloat64()}.Normalize(),
+			SpeedMS:    math.NaN(),
+			HeadingDeg: rng.Float64() * 360,
+			Value:      1,
+		}
+		if i%2 == 1 {
+			tgt.SpeedMS, tgt.HeadingDeg = 250, math.NaN()
+		}
+		s.Targets = append(s.Targets, tgt)
+	}
+}
+
 // walkBack returns the start point and initial bearing of the course that
 // passes through q on bearing brgDeg after travelling distM: q's own great
 // circle, stepped back by distM, with the bearing it has there.
@@ -368,39 +404,30 @@ func walkBack(q geo.LatLon, brgDeg, distM float64) (geo.LatLon, float64) {
 	return start, geo.Rad2Deg(math.Atan2(tangent.Dot(east), tangent.Dot(north)))
 }
 
-// checkBucket compares every cell of tx's bucket for time tq with the same
-// cell of full, a full-set NewIndex at the bucket start, keeping only the
-// targets live in the bucket: the same targets, in the same order. A
-// target keyed into a wrong cell shows here even when no query reaches
-// that cell: reading a cell builds its block.
-func checkBucket(t *testing.T, tx *TimedIndex, full *Index, tq float64) {
+// checkKeys compares the bucket-start key of every target with the cell
+// full, a full-set NewIndex at the start of a bucket, files it in: the
+// same cell for every target live in the bucket, -1 for the rest. It
+// returns how many keys took the exact fallback.
+func checkKeys(t *testing.T, tx *TimedIndex, full *Index) int {
 	t.Helper()
-	b := int64(math.Floor(tq / tx.bucketS))
-	tx.mu.RLock()
-	bk, _ := tx.buckets[b].(*bucket)
-	tx.mu.RUnlock()
-	if bk == nil {
-		t.Fatalf("t=%v: bucket %d not built", tq, b)
-	}
-	var got, want []int32
-	for k := int64(0); k < full.nrows*full.stride; k++ {
-		row, col := k/full.stride, k%full.stride
-		got = bk.span(got[:0], row, col, col)
-		want = full.span(want[:0], row, col, col)
-		n := 0
-		for _, i := range want {
-			if !liveIn(&tx.set.Targets[i], b, tx.bucketS) {
-				continue
-			}
-			if n >= len(got) || got[n] != i {
-				t.Fatalf("t=%v: cell %d differs from the full-set index at member %d (target %d %#v)", tq, k, n, i, tx.set.Targets[i])
-			}
-			n++
+	tx.tracksOnce.Do(tx.initTracks)
+	b := int64(math.Floor(full.atTime / tx.bucketS))
+	exact := 0
+	for i := range tx.set.Targets {
+		tgt := &tx.set.Targets[i]
+		want := int64(-1)
+		if liveIn(tgt, b, tx.bucketS) {
+			want = full.keyOf(tgt.PosAt(full.atTime))
 		}
-		if n != len(got) {
-			t.Fatalf("t=%v: cell %d holds %d targets, full-set index %d live", tq, k, len(got), n)
+		k, ex := tx.keyAt(i, float64(b), full.atTime)
+		if k != want {
+			t.Fatalf("t=%v: target %d keys into cell %d, full-set index %d (%#v)", full.atTime, i, k, want, *tgt)
+		}
+		if ex {
+			exact++
 		}
 	}
+	return exact
 }
 
 // liveIn reports whether t may be active at some time in bucket b of the
@@ -411,13 +438,23 @@ func liveIn(t *Target, b int64, width float64) bool {
 		(t.VanishS != 0 && math.Floor(t.VanishS/width) < float64(b)))
 }
 
-// activeAt keeps the candidates active at ts, in order.
-func activeAt(s *Set, cands []int32, ts float64) []int32 {
-	out := cands[:0]
+// within keeps the candidates active within r of p at ts, in order and
+// with repeats: the exact filter a caller runs on a sweep.
+func within(s *Set, cands []int32, p geo.LatLon, r, ts float64) []int32 {
+	var out []int32
 	for _, ci := range cands {
-		if s.Targets[ci].ActiveAt(ts) {
+		if tgt := &s.Targets[ci]; tgt.ActiveAt(ts) && geo.GreatCircleDistance(tgt.PosAt(ts), p) <= r {
 			out = append(out, ci)
 		}
+	}
+	return out
+}
+
+// inOrder returns kept in the order tx.Order gives it.
+func inOrder(tx *TimedIndex, kept []int32, p geo.LatLon, r, ts float64, sc *OrderScratch) []int32 {
+	var out []int32
+	for _, j := range tx.Order(kept, p, r, ts, sc) {
+		out = append(out, kept[j])
 	}
 	return out
 }

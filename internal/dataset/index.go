@@ -1,11 +1,10 @@
 package dataset
 
 import (
+	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"eagleeye/internal/geo"
 )
@@ -60,61 +59,33 @@ type Index struct {
 // with ActiveAt). cellDeg 0 defaults to 2 degrees.
 func NewIndex(s *Set, cellDeg float64, atTime float64) *Index {
 	ix := &Index{grid: newGrid(cellDeg), set: s, atTime: atTime}
-	ix.fill(func(i int) int64 { return ix.keyOf(s.Targets[i].PosAt(atTime)) }, make([]int64, len(s.Targets)))
-	return ix
-}
-
-// fill (re)builds the cells, placing target i in cell key(i) or, when
-// key(i) is negative, in none, and reusing any storage a previous fill
-// left behind. keys is scratch with one entry per target. maxSpeed covers
-// every target, so a query's padding -- and with it the cells it scans,
-// in order -- is the same whichever targets an index leaves out.
-func (ix *Index) fill(key func(i int) int64, keys []int64) {
 	// Counting-sort build: count members per cell, prefix-sum into the CSR
 	// offsets, then scatter indices in input order (so cell membership
 	// order matches the old per-cell appends exactly).
-	targets := ix.set.Targets
-	ncells := ix.nrows * ix.stride
-	if int64(len(ix.offsets)) == ncells+1 {
-		clear(ix.offsets)
-	} else {
-		ix.offsets = make([]int32, ncells+1)
-	}
-	offsets := ix.offsets
-	ix.maxSpeed = 0
-	n := 0
-	for i := range targets {
-		if v := targets[i].SpeedMS; v > ix.maxSpeed {
+	ix.offsets = make([]int32, ix.nrows*ix.stride+1)
+	keys := make([]int64, len(s.Targets))
+	for i := range s.Targets {
+		if v := s.Targets[i].SpeedMS; v > ix.maxSpeed {
 			ix.maxSpeed = v
 		}
-		k := key(i)
-		keys[i] = k
-		if k < 0 {
-			continue
-		}
-		offsets[k+1]++
-		n++
+		keys[i] = ix.keyOf(s.Targets[i].PosAt(atTime))
+		ix.offsets[keys[i]+1]++
 	}
 	// Shifted exclusive prefix sum: offsets[k+1] becomes the start of cell
 	// k, and the scatter advances it to the end -- which is the start of
 	// cell k+1 -- so no separate cursor array is needed.
 	start := int32(0)
-	for c := int64(1); c <= ncells; c++ {
-		cnt := offsets[c]
-		offsets[c] = start
+	for c := 1; c < len(ix.offsets); c++ {
+		cnt := ix.offsets[c]
+		ix.offsets[c] = start
 		start += cnt
 	}
-	if cap(ix.arena) < n {
-		ix.arena = make([]int32, n)
+	ix.arena = make([]int32, len(s.Targets))
+	for i, k := range keys {
+		ix.arena[ix.offsets[k+1]] = int32(i)
+		ix.offsets[k+1]++
 	}
-	ix.arena = ix.arena[:n]
-	for i, k := range keys[:len(targets)] {
-		if k < 0 {
-			continue
-		}
-		ix.arena[offsets[k+1]] = int32(i)
-		offsets[k+1]++
-	}
+	return ix
 }
 
 // span appends the cells of columns [cLo, cHi] of a row: one contiguous
@@ -158,26 +129,67 @@ func (ix *Index) Near(p geo.LatLon, radiusM float64, queryTime float64) []int32 
 // length zero), returning the extended slice. The simulator's frame loop
 // reuses one scratch slice per worker instead of allocating per query.
 func (ix *Index) NearInto(p geo.LatLon, radiusM float64, queryTime float64, out []int32) []int32 {
-	return ix.grid.near(ix, p, radiusM, ix.maxSpeed*math.Abs(queryTime-ix.atTime), out)
+	return near(&ix.grid, ix, p, radiusM, ix.maxSpeed*math.Abs(queryTime-ix.atTime), out)
 }
 
-// cellSpans is cell storage that a query walk reads.
+// cellSpans is what a query walk reads: cell storage, or a view of it.
 type cellSpans interface {
-	// span appends the members of columns [cLo, cHi] of a row, cell by
+	// span appends what it holds in columns [cLo, cHi] of a row, cell by
 	// cell, each cell's members in input order.
 	span(out []int32, row, cLo, cHi int64) []int32
 }
 
 // near appends the members of every cell src holds within radiusM+pad of
-// p: NearInto's walk, shared by full indices and moving-set buckets so
-// both read the same rows and column spans in the same order.
-func (g *grid) near(src cellSpans, p geo.LatLon, radiusM, pad float64, out []int32) []int32 {
-	radDeg := (radiusM + pad) / 111e3 // meters per degree latitude (conservative)
+// p: NearInto's walk, shared by full indices and TimedIndex.Order, so
+// Order reads the rows and column spans a full index reads, in the same
+// order. Its row loop steps a float latitude by cellDeg, so where the
+// band's edge sits within rounding of a row edge the floor of a step can
+// repeat a row and skip the next (0.7-degree cells, latitude
+// -29.197297297297304 and 300 km walk rows 83, 84, 85, 85, 87, 88, 88,
+// 89, 90). It is generic so that a per-query span value stays on the
+// caller's stack instead of escaping through an interface.
+func near[S cellSpans](g *grid, src S, p geo.LatLon, radiusM, pad float64, out []int32) []int32 {
+	w := g.window(p, radiusM+pad)
+	for lat := w.latLo; lat <= w.latHi+g.cellDeg; lat += g.cellDeg {
+		if lat < -90-g.cellDeg || lat > 90+g.cellDeg {
+			continue
+		}
+		row := int64(math.Floor((lat + 90) / g.cellDeg))
+		if row < 0 || row >= g.nrows {
+			continue
+		}
+		out = nearRow(g, src, &w, row, out)
+	}
+	return out
+}
+
+// nearRows is near with every row of the band walked exactly once, in
+// order: the walk of an epoch sweep, which must miss no row near covers.
+func nearRows[S cellSpans](g *grid, src S, p geo.LatLon, radiusM, pad float64, out []int32) []int32 {
+	w := g.window(p, radiusM+pad)
+	lo := max(0, int64(math.Floor((w.latLo+90)/g.cellDeg)))
+	hi := min(g.nrows-1, int64(math.Floor((w.latHi+g.cellDeg+90)/g.cellDeg)))
+	for row := lo; row <= hi; row++ {
+		out = nearRow(g, src, &w, row, out)
+	}
+	return out
+}
+
+// A window is the extent of a query walk: its latitude band, and its
+// longitude half-window around lonQ, or full when every row is scanned
+// whole.
+type window struct {
+	latLo, latHi float64
+	lonQ, lonWin float64
+	full         bool
+}
+
+func (g *grid) window(p geo.LatLon, radiusM float64) window {
+	radDeg := radiusM / 111e3 // meters per degree latitude (conservative)
 	if radDeg > 180 {
 		radDeg = 180
 	}
-	latLo := p.Lat - radDeg
-	latHi := p.Lat + radDeg
+	w := window{latLo: p.Lat - radDeg, latHi: p.Lat + radDeg, lonQ: geo.WrapLonDeg(p.Lon)}
 	// Longitude half-window in degrees, valid for every row of the query.
 	// For a circle clear of the poles the extreme longitude offset is
 	// asin(sin r / cos lat), attained at the tangent parallel rather than
@@ -187,52 +199,43 @@ func (g *grid) near(src cellSpans, p geo.LatLon, radiusM, pad float64, out []int
 	// circle containing a pole reaches every longitude, so those queries
 	// scan full rows.
 	poleIn := math.Abs(p.Lat)+radDeg >= 90
-	var lonWin float64
 	if !poleIn {
 		sinR := math.Sin(geo.Deg2Rad(radDeg))
 		cosLat := math.Cos(geo.Deg2Rad(p.Lat))
-		lonWin = geo.Rad2Deg(math.Asin(math.Min(1, sinR/cosLat)))
+		w.lonWin = geo.Rad2Deg(math.Asin(math.Min(1, sinR/cosLat)))
 	}
-	lonQ := geo.WrapLonDeg(p.Lon)
-	for lat := latLo; lat <= latHi+g.cellDeg; lat += g.cellDeg {
-		if lat < -90-g.cellDeg || lat > 90+g.cellDeg {
-			continue
-		}
-		row := int64(math.Floor((lat + 90) / g.cellDeg))
-		if row < 0 || row >= g.nrows {
-			continue
-		}
-		// Clamp a padded span approaching one full row to a single
-		// full-row pass (every cell of the row, including the extra seam
-		// column holding lon = +180) so the walk never revisits its
-		// starting cell (the 2-cell slack absorbs column-flooring at both
-		// ends).
-		if poleIn || 2*lonWin+3*g.cellDeg >= 360 {
-			out = src.span(out, row, 0, g.stride-1)
-			continue
-		}
-		// Column span [lo, hi] with one cell of slack, split at the
-		// antimeridian. A split range always touches lon = ±180, whose
-		// targets live in the extra seam column (WrapLonDeg maps -180 to
-		// +180, past the last regular column) — the old lon-walk keyed its
-		// -180 step into that seam column and skipped the first regular
-		// cell of the row.
-		lo := lonQ - lonWin
-		hi := lonQ + lonWin + g.cellDeg
-		switch {
-		case lo < -180:
-			out = g.cols(src, out, row, g.col(lo+360), g.stride-2)
-			out = src.span(out, row, g.stride-1, g.stride-1)
-			out = g.cols(src, out, row, 0, g.col(hi))
-		case hi >= 180:
-			out = g.cols(src, out, row, g.col(lo), g.stride-2)
-			out = src.span(out, row, g.stride-1, g.stride-1)
-			out = g.cols(src, out, row, 0, g.col(hi-360))
-		default:
-			out = g.cols(src, out, row, g.col(lo), g.col(hi))
-		}
+	// Clamp a padded span approaching one full row to a single full-row
+	// pass (every cell of the row, including the extra seam column holding
+	// lon = +180) so the walk never revisits its starting cell (the 2-cell
+	// slack absorbs column-flooring at both ends).
+	w.full = poleIn || 2*w.lonWin+3*g.cellDeg >= 360
+	return w
+}
+
+// nearRow appends src's cells of one row of the window.
+func nearRow[S cellSpans](g *grid, src S, w *window, row int64, out []int32) []int32 {
+	if w.full {
+		return src.span(out, row, 0, g.stride-1)
 	}
-	return out
+	// Column span [lo, hi] with one cell of slack, split at the
+	// antimeridian. A split range always touches lon = ±180, whose targets
+	// live in the extra seam column (WrapLonDeg maps -180 to +180, past the
+	// last regular column) — the old lon-walk keyed its -180 step into that
+	// seam column and skipped the first regular cell of the row.
+	lo := w.lonQ - w.lonWin
+	hi := w.lonQ + w.lonWin + g.cellDeg
+	switch {
+	case lo < -180:
+		out = cols(g, src, out, row, g.col(lo+360), g.stride-2)
+		out = src.span(out, row, g.stride-1, g.stride-1)
+		return cols(g, src, out, row, 0, g.col(hi))
+	case hi >= 180:
+		out = cols(g, src, out, row, g.col(lo), g.stride-2)
+		out = src.span(out, row, g.stride-1, g.stride-1)
+		return cols(g, src, out, row, 0, g.col(hi-360))
+	default:
+		return cols(g, src, out, row, g.col(lo), g.col(hi))
+	}
 }
 
 // col maps an unwrapped longitude to its column index (no range clamping).
@@ -242,7 +245,7 @@ func (g *grid) col(lon float64) int64 {
 
 // cols appends src's cells of columns [cLo, cHi] of a row, clamped to the
 // regular-column range.
-func (g *grid) cols(src cellSpans, out []int32, row, cLo, cHi int64) []int32 {
+func cols[S cellSpans](g *grid, src S, out []int32, row, cLo, cHi int64) []int32 {
 	if cLo < 0 {
 		cLo = 0
 	}
@@ -255,87 +258,66 @@ func (g *grid) cols(src cellSpans, out []int32, row, cLo, cHi int64) []int32 {
 	return src.span(out, row, cLo, cHi)
 }
 
-// TimedIndex maintains per-time-bucket indices for moving target sets,
-// built lazily as the simulation advances. Bucket b holds only the
-// targets that may be active at some time in [b*bucketS, (b+1)*bucketS),
-// each keyed into its cell at the bucket start from a unit-vector course
-// cached per moving target (see track). Every cell holds exactly the live
-// targets a full-set NewIndex at the bucket start puts there, in the same
-// order, so a query filtered by ActiveAt returns the same candidates. A
-// bucket fills its cells block by block, on the first query that reads
-// a block, keying only the targets an hourly epoch index places near the
-// block (see buildBlock): the cells the simulator's queries read hold a
-// few percent of the live targets. Static sets use one full-set NewIndex
-// bucket and build no cache.
+// TimedIndex answers "which targets could lie within R meters of this
+// point at time ts" for a target set, as the simulator's frame loop asks
+// it. A static set has one full-set NewIndex, built on the first query,
+// and every query lists its candidates in that index's walk order.
 //
-// Near, NearInto and Outside are safe for concurrent use: the parallel
-// simulator shares one TimedIndex across worker goroutines, so bucket and
-// block construction is mutex-guarded, and a completed Index or block is
-// immutable, published before any reader can reach it, and read without
-// locking. Retire recycles bucket storage and must not run concurrently
-// with queries.
+// A moving set sweeps an hourly epoch index instead (see epoch). Its
+// NearInto returns a superset of the targets active within radiusM of p
+// at ts, each at most once, in no bucket order. Order then puts
+// the targets a caller keeps from that result into the order a full-set
+// NewIndex at the start of ts's bucket (bucketS wide) lists them for the
+// same query: the order the simulator's detector draws its RNG in. Each
+// kept target is keyed at the bucket start from a unit-vector course
+// cached per target (see track), so a query keys only what it keeps.
+//
+// Near, NearInto, Order and Outside are safe for concurrent use: the
+// parallel simulator shares one TimedIndex across worker goroutines, so
+// index builds are mutex-guarded, a built index is immutable once
+// published, and queries keep their scratch in caller-owned slices.
+// Retire recycles epoch storage and must not run concurrently with
+// queries.
 type TimedIndex struct {
 	set     *Set
 	grid    grid
 	bucketS float64
-	// bcols is the number of block columns and nblocks the number of
-	// blocks: the grid's rows and columns in runs of blockSize.
-	bcols, nblocks int64
 
-	// tracks caches every moving target's course and edges the grid's
-	// cell boundaries, both in unit-vector form; polar lists the moving
-	// targets whose course starts near a pole, and maxSpeed is the
-	// largest target speed. They are built on the first query of a moving
-	// set or Outside call, so creating an index costs nothing up front;
-	// static sets never build them.
+	// tracks caches every target's course and edges the grid's cell
+	// boundaries, both in unit-vector form; polar lists the moving targets
+	// whose course starts near a pole, and maxSpeed is the largest target
+	// speed. They are built on the first query of a moving set or Outside
+	// call, so creating an index costs nothing up front; static sets never
+	// build them.
 	tracksOnce sync.Once
 	tracks     []track
 	edges      cellEdges
 	polar      []int32
 	maxSpeed   float64
 
-	mu      sync.RWMutex
-	buckets map[int64]bucketIndex
-	epochs  map[int64]*Index
-	// spare holds retired buckets and spareEpoch a retired epoch index,
-	// whose storage later builds reuse; keys, cands and members are build
-	// scratch.
-	spare      []*bucket
-	spareEpoch *Index
-	keys       []int64
-	cands      []int32
-	members    []uint64
-	// exact counts the keys of moving targets that fell back from the
-	// unit-vector test to Target.PosAt, and keyed every bucket key of a
-	// live target; tests read them to show that the fallback runs and
-	// that buckets key few targets.
-	exact int
-	keyed int
+	staticOnce sync.Once
+	static     *Index
+
+	mu     sync.RWMutex
+	epochs map[int64]*epoch
+	// spare is a retired epoch whose storage the next build reuses, and
+	// members is build scratch sized by the live targets.
+	spare   *epoch
+	members []member
 }
 
 const (
-	// epochBuckets is the number of buckets one epoch index serves, and
-	// blockSize the side of a block in cells. With the simulator's
-	// 2-degree cells and 600 s buckets, an hour-long epoch keyed at its
-	// midpoint pads block queries by at most 30 minutes of flight. Block
-	// builds over four 24 h airplane runs (8 satellites, 2-CPU VM, two
-	// runs each) took 1.15-1.22 s at 6 buckets and 4 cells, against
-	// 1.42-1.51 s at 3 buckets, 1.41-1.56 s at 12, 1.19-1.27 s at 2 cells
-	// and 1.45-1.50 s at 8.
+	// epochBuckets is the number of buckets one epoch serves. With the
+	// simulator's 600 s buckets an epoch is an hour keyed at its
+	// midpoint, so a query is padded by at most 30 minutes of flight.
 	epochBuckets = 6
-	blockSize    = 4
-	// blockMarginM widens a block's candidate query past the rounding of
-	// epoch keys: the unit-vector position lies within a millimetre of
-	// Target.PosAt's, and atan2Guess's column within ~64 m of the cell
-	// the exact longitude falls in.
-	blockMarginM = 1e3
+	// epochMarginM widens a sweep past the rounding of epoch keys and
+	// slots: the unit-vector position lies within a millimetre of
+	// Target.PosAt's, atan2Guess's column within ~64 m of the cell the
+	// exact longitude falls in, and a float32 slot within ~1 m of its
+	// float64 vector.
+	epochMarginM = 1e3
 )
-
-// maxSpare bounds the retired buckets kept for reuse. A window of a few
-// minutes retires and builds a bucket or two, which two spares cover; the
-// other buckets of a long window go to the garbage collector instead of
-// staying pinned.
-const maxSpare = 2
 
 // NewTimedIndex creates a lazily-populated timed index. bucketS 0 defaults
 // to 600 s (moving-target positions are re-indexed every ten minutes).
@@ -343,13 +325,7 @@ func NewTimedIndex(s *Set, cellDeg, bucketS float64) *TimedIndex {
 	if bucketS <= 0 {
 		bucketS = 600
 	}
-	g := newGrid(cellDeg)
-	bcols := (g.stride + blockSize - 1) / blockSize
-	brows := (g.nrows + blockSize - 1) / blockSize
-	return &TimedIndex{
-		set: s, grid: g, bucketS: bucketS, bcols: bcols, nblocks: brows * bcols,
-		buckets: make(map[int64]bucketIndex), epochs: make(map[int64]*Index),
-	}
+	return &TimedIndex{set: s, grid: newGrid(cellDeg), bucketS: bucketS, epochs: make(map[int64]*epoch)}
 }
 
 // Near returns candidate indices near p at elapsed time ts.
@@ -357,340 +333,260 @@ func (tx *TimedIndex) Near(p geo.LatLon, radiusM float64, ts float64) []int32 {
 	return tx.NearInto(p, radiusM, ts, nil)
 }
 
-// NearInto is Near appending into a caller-owned slice. The scratch slice
-// stays private to the calling goroutine; only the bucket lookup and the
-// bucket and block builds are synchronized.
+// NearInto is Near appending into a caller-owned slice. For a moving set
+// it sweeps the epoch holding ts: every member whose midpoint position
+// lies within radiusM + pad + epochMarginM of p, where pad bounds how far
+// any target travels between the midpoint and ts, plus every course the
+// epoch cannot place, each target at most once. A target within radiusM
+// of p at ts lies within pad of its midpoint position, since a course's
+// displacement is at most its arc, so the result is a superset of the
+// targets active there.
 func (tx *TimedIndex) NearInto(p geo.LatLon, radiusM float64, ts float64, out []int32) []int32 {
 	if !tx.set.Moving {
-		// Static sets need a single bucket.
-		ts = 0
-	}
-	b := int64(math.Floor(ts / tx.bucketS))
-	tx.mu.RLock()
-	bk := tx.buckets[b]
-	tx.mu.RUnlock()
-	if bk == nil {
-		bk = tx.build(b)
-	}
-	return bk.NearInto(p, radiusM, ts, out)
-}
-
-// bucketIndex answers one bucket's queries: a full-set Index for a static
-// set, a block-filled bucket for a moving one.
-type bucketIndex interface {
-	NearInto(p geo.LatLon, radiusM float64, queryTime float64, out []int32) []int32
-}
-
-// build returns bucket b, creating it under the write lock unless another
-// worker got there first (double-checked: the caller's read-locked lookup
-// may be stale). A moving set's bucket starts with no block built.
-func (tx *TimedIndex) build(b int64) bucketIndex {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if bk := tx.buckets[b]; bk != nil {
-		return bk
-	}
-	if !tx.set.Moving {
-		ix := NewIndex(tx.set, tx.grid.cellDeg, 0)
-		tx.buckets[b] = ix
-		return ix
+		tx.staticOnce.Do(tx.initStatic)
+		return tx.static.NearInto(p, radiusM, 0, out)
 	}
 	tx.tracksOnce.Do(tx.initTracks)
-	var bk *bucket
-	if n := len(tx.spare); n > 0 {
-		bk, tx.spare = tx.spare[n-1], tx.spare[:n-1]
-	} else {
-		bk = &bucket{tx: tx, blocks: make([]atomic.Pointer[block], tx.nblocks)}
+	e := tx.epochAt(ts)
+	pad := tx.maxSpeed * math.Abs(ts-e.mid)
+	sw := sweep{e: e, stride: tx.grid.stride, c: NewCap(p, radiusM+pad+epochMarginM)}
+	out = nearRows(&tx.grid, sw, p, radiusM+epochMarginM, pad, out)
+	out = append(out, tx.polar...)
+	return append(out, e.loose...)
+}
+
+func (tx *TimedIndex) initStatic() { tx.static = NewIndex(tx.set, tx.grid.cellDeg, 0) }
+
+// An epoch indexes one hour (epochBuckets buckets) of a moving set: the
+// targets live in any of its buckets, keyed at the midpoint from their
+// unit-vector courses (cellEdges.roughKey, so a member may sit a cell off
+// where it lies within rounding of an edge) and stored CSR by cell, in
+// input order, each with its unit vector there. Targets that appear after
+// the midpoint or vanish before it sit where their course extrapolates:
+// the sweep's chord test and the caller's ActiveAt decide the rest.
+// Courses starting near a pole are left to polar, and targets whose
+// midpoint vector is not finite (a NaN speed or heading, say, whose
+// Target.PosAt still holds Pos at t = 0) to loose; every query appends
+// both whole.
+type epoch struct {
+	mid     float64
+	offsets []int32
+	slots   []slot
+	loose   []int32
+}
+
+// A slot is one epoch member: its target and its unit vector at the
+// midpoint, in float32 to keep the sweep's reads to 16 bytes.
+type slot struct {
+	id      int32
+	x, y, z float32
+}
+
+// member is a slot with its cell, the epoch build's scratch.
+type member struct {
+	key int32
+	slot
+}
+
+// epochAt returns the epoch holding ts's bucket, building it under the
+// write lock unless another worker got there first (double-checked: the
+// read-locked lookup may be stale).
+func (tx *TimedIndex) epochAt(ts float64) *epoch {
+	b := int64(math.Floor(ts / tx.bucketS))
+	e := b / epochBuckets
+	if b%epochBuckets < 0 {
+		e--
 	}
-	bk.b, bk.at = b, float64(b)*tx.bucketS
-	tx.buckets[b] = bk
-	return bk
+	tx.mu.RLock()
+	ep := tx.epochs[e]
+	tx.mu.RUnlock()
+	if ep != nil {
+		return ep
+	}
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if ep := tx.epochs[e]; ep != nil {
+		return ep
+	}
+	ep = tx.buildEpoch(e)
+	tx.epochs[e] = ep
+	return ep
 }
 
-// A bucket is one time bucket of a moving set, its cells filled block by
-// block: cell (row, col) is cell (row%blockSize)*blockSize +
-// col%blockSize of block (row/blockSize)*bcols + col/blockSize.
-type bucket struct {
-	tx *TimedIndex
-	b  int64
-	at float64 // the bucket start, where its targets are keyed
-	// blocks[j] is block j once built.
-	blocks []atomic.Pointer[block]
-	// Build state, guarded by tx.mu: the keys computed so far, and the
-	// storage of the blocks' members. arena only grows: members that do
-	// not fit go to a fresh array, and built blocks keep the one they
-	// were written to.
-	keys  keyCache
-	arena []int32
-}
-
-// A block holds the cells of one built block, immutable once published:
-// cell m holds ids[off[m]:off[m+1]], in input order.
-type block struct {
-	off [blockSize*blockSize + 1]int32
-	ids []int32
-}
-
-// emptyBlock is every block without members.
-var emptyBlock = &block{}
-
-// NearInto reads the cells a full-set Index at the bucket start would, in
-// the same order, building each block on the first read.
-func (bk *bucket) NearInto(p geo.LatLon, radiusM float64, queryTime float64, out []int32) []int32 {
-	tx := bk.tx
-	return tx.grid.near(bk, p, radiusM, tx.maxSpeed*math.Abs(queryTime-bk.at), out)
-}
-
-// span appends the cells of columns [cLo, cHi] of a row: one contiguous
-// range of each block the span crosses.
-func (bk *bucket) span(out []int32, row, cLo, cHi int64) []int32 {
-	first := row / blockSize * bk.tx.bcols
-	m := row % blockSize * blockSize
-	for c := cLo; c <= cHi; {
-		bc := c / blockSize
-		end := min(cHi, bc*blockSize+blockSize-1)
-		blk := bk.blocks[first+bc].Load()
-		if blk == nil {
-			blk = bk.tx.buildBlock(bk, first+bc)
+// buildEpoch builds epoch e, reusing a retired epoch's storage: one
+// counting sort by cell over the live targets. Callers hold tx.mu.
+func (tx *TimedIndex) buildEpoch(e int64) *epoch {
+	ep := tx.spare
+	tx.spare = nil
+	if ep == nil {
+		ep = &epoch{offsets: make([]int32, tx.grid.nrows*tx.grid.stride+1)}
+	} else {
+		clear(ep.offsets)
+	}
+	first := e * epochBuckets
+	ep.mid = float64(first+epochBuckets/2) * tx.bucketS
+	ep.loose = ep.loose[:0]
+	members := tx.members[:0]
+	for i := range tx.set.Targets {
+		t := &tx.set.Targets[i]
+		if !tx.live(t, float64(first), float64(first+epochBuckets-1)) {
+			continue
 		}
-		lo := m + c - bc*blockSize
-		out = append(out, blk.ids[blk.off[lo]:blk.off[lo+end-c+1]]...)
-		c = end + 1
+		tr := &tx.tracks[i]
+		v := tr.a
+		if t.SpeedMS != 0 {
+			if tr.nearPole() {
+				continue
+			}
+			v = tr.at(t.SpeedMS * ep.mid)
+		}
+		// x - x is 0 exactly for finite x.
+		if v.X-v.X != 0 || v.Y-v.Y != 0 || v.Z-v.Z != 0 {
+			ep.loose = append(ep.loose, int32(i))
+			continue
+		}
+		k := int32(tx.edges.roughKey(v, tx.grid.stride))
+		members = append(members, member{k, slot{int32(i), float32(v.X), float32(v.Y), float32(v.Z)}})
+		ep.offsets[k+1]++
+	}
+	tx.members = members
+	// Shifted exclusive prefix sum, then a scatter in input order that
+	// advances each cell's start to its end, as in NewIndex.
+	start := int32(0)
+	for c := 1; c < len(ep.offsets); c++ {
+		cnt := ep.offsets[c]
+		ep.offsets[c] = start
+		start += cnt
+	}
+	ep.slots = slices.Grow(ep.slots[:0], len(members))[:len(members)]
+	for _, m := range members {
+		ep.slots[ep.offsets[m.key+1]] = m.slot
+		ep.offsets[m.key+1]++
+	}
+	return ep
+}
+
+// sweep is one query's walk over an epoch: it keeps the members of each
+// span whose midpoint vector lies within the chord of c.
+type sweep struct {
+	e      *epoch
+	stride int64
+	c      Cap
+}
+
+func (s sweep) span(out []int32, row, cLo, cHi int64) []int32 {
+	base := row * s.stride
+	for _, m := range s.e.slots[s.e.offsets[base+cLo]:s.e.offsets[base+cHi+1]] {
+		dx := float64(m.x) - s.c.center.X
+		dy := float64(m.y) - s.c.center.Y
+		dz := float64(m.z) - s.c.center.Z
+		if dx*dx+dy*dy+dz*dz <= s.c.chord2 {
+			out = append(out, m.id)
+		}
 	}
 	return out
 }
 
-// buildBlock returns block j of bk, building and publishing it under the
-// write lock unless another worker got there first. Its members are the
-// live targets whose bucket-start key (keyAt, once per bucket) lies in
-// the block, found among a superset: the targets an epoch index of the
-// surrounding hour, keyed at the hour's midpoint, holds within the
-// block's covering disk -- padded by how far any target travels between
-// the midpoint and the bucket start, since a course's displacement is at
-// most its arc -- plus every course starting near a pole, whose
-// Target.PosAt longitude is rounding noise and so obeys no such bound.
-func (tx *TimedIndex) buildBlock(bk *bucket, j int64) *block {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if blk := bk.blocks[j].Load(); blk != nil {
-		return blk
-	}
-	r0, c0 := j/tx.bcols*blockSize, j%tx.bcols*blockSize
-	center, radiusM := tx.grid.blockCap(r0, c0)
-	e := bk.b / epochBuckets
-	if bk.b%epochBuckets < 0 {
-		e--
-	}
-	tx.cands = tx.epoch(e).NearInto(center, radiusM+blockMarginM, bk.at, tx.cands[:0])
-	tx.cands = append(tx.cands, tx.polar...)
-	members := tx.members[:0]
-	for _, i := range tx.cands {
-		k := bk.key(i)
-		if k < 0 {
-			continue
+// OrderScratch is one goroutine's scratch for TimedIndex.Order; the zero
+// value is ready to use.
+type OrderScratch struct {
+	ents []orderEnt
+	perm []int32
+	// keyed counts the bucket-start keys Order has computed; tests read it
+	// to show that a query keys only the targets it orders.
+	keyed int
+}
+
+// An orderEnt is a kept target keyed at the bucket start.
+type orderEnt struct {
+	key uint64 // cell<<32 | target
+	at  int32  // position in kept
+}
+
+// Order returns the positions in kept of its targets in the order a
+// full-set NewIndex at the start of ts's bucket lists them for the query
+// (p, radiusM, ts), where kept holds distinct targets of a NearInto(p,
+// radiusM, ts) result that are active at ts, in any order. That index
+// lists a target once for each time its walk visits the target's
+// bucket-start cell, members of a cell in input order, so Order keys each
+// kept target there (keyAt), sorts them by cell and target, and emits
+// them along the same walk: a target in a row the walk repeats comes
+// twice, one in a row it skips not at all. For a static set
+// NearInto already walks in that order, and Order returns kept's
+// positions as they are. The result lives in sc until its next use.
+func (tx *TimedIndex) Order(kept []int32, p geo.LatLon, radiusM, ts float64, sc *OrderScratch) []int32 {
+	perm := sc.perm[:0]
+	if !tx.set.Moving {
+		for j := range kept {
+			perm = append(perm, int32(j))
 		}
-		r, c := k/tx.grid.stride-r0, k%tx.grid.stride-c0
-		if r < 0 || r >= blockSize || c < 0 || c >= blockSize {
-			continue
-		}
-		members = append(members, uint64(r*blockSize+c)<<32|uint64(i))
+		sc.perm = perm
+		return perm
 	}
-	tx.members = members
-	blk := emptyBlock
-	if len(members) > 0 {
-		// Cell by cell, each in input order: fill's order.
-		slices.Sort(members)
-		blk = &block{ids: bk.alloc(len(members))}
-		for n, v := range members {
-			blk.ids[n] = int32(uint32(v))
-			blk.off[v>>32+1]++
-		}
-		for m := 1; m < len(blk.off); m++ {
-			blk.off[m] += blk.off[m-1]
+	tx.tracksOnce.Do(tx.initTracks)
+	b := int64(math.Floor(ts / tx.bucketS))
+	at := float64(b) * tx.bucketS
+	ents := sc.ents[:0]
+	for j, i := range kept {
+		if k, _ := tx.keyAt(int(i), float64(b), at); k >= 0 {
+			ents = append(ents, orderEnt{key: uint64(k)<<32 | uint64(uint32(i)), at: int32(j)})
 		}
 	}
-	bk.blocks[j].Store(blk)
-	return blk
+	sc.keyed += len(kept)
+	slices.SortFunc(ents, func(a, b orderEnt) int { return cmp.Compare(a.key, b.key) })
+	sc.ents = ents
+	sc.perm = near(&tx.grid, ordered{stride: tx.grid.stride, ents: ents}, p, radiusM, tx.maxSpeed*math.Abs(ts-at), perm)
+	return sc.perm
 }
 
-// key returns target i's cell in the bucket, keying it on first use.
-// Callers hold tx.mu.
-func (bk *bucket) key(i int32) int64 {
-	c := &bk.keys
-	if 2*(c.n+1) > len(c.slots) {
-		c.grow()
-	}
-	h, ok := c.find(i)
-	if ok {
-		return int64(int32(uint32(c.slots[h])))
-	}
-	k := bk.tx.keyAt(int(i), float64(bk.b), bk.at)
-	c.slots[h] = uint64(i+1)<<32 | uint64(uint32(k))
-	c.n++
-	return k
+// ordered emits, for each span a query walk visits, the positions of the
+// kept targets whose cell lies in it: ents is sorted by cell, so a span's
+// targets are one contiguous run.
+type ordered struct {
+	stride int64
+	ents   []orderEnt
 }
 
-// alloc returns storage for n members from the arena.
-func (bk *bucket) alloc(n int) []int32 {
-	used := len(bk.arena)
-	if cap(bk.arena)-used < n {
-		bk.arena = make([]int32, 0, max(2*cap(bk.arena), n, 1024))
-		used = 0
+func (o ordered) span(out []int32, row, cLo, cHi int64) []int32 {
+	lo := uint64(row*o.stride+cLo) << 32
+	hi := uint64(row*o.stride+cHi+1) << 32
+	j, _ := slices.BinarySearchFunc(o.ents, lo, func(e orderEnt, k uint64) int { return cmp.Compare(e.key, k) })
+	for ; j < len(o.ents) && o.ents[j].key < hi; j++ {
+		out = append(out, o.ents[j].at)
 	}
-	bk.arena = bk.arena[:used+n]
-	return bk.arena[used : used+n : used+n]
+	return out
 }
 
-// reset empties a retired bucket for reuse, keeping its storage.
-func (bk *bucket) reset() {
-	for j := range bk.blocks {
-		bk.blocks[j].Store(nil)
-	}
-	bk.keys.reset()
-	bk.arena = bk.arena[:0]
+// live reports whether target t may be active in some bucket of [lo, hi],
+// judged on the bucket each of its times floors to: bucketing is monotone
+// in time, so ts >= AppearS implies ts's bucket is no earlier than
+// AppearS's (and likewise for VanishS). NaN bounds never leave a target
+// out.
+func (tx *TimedIndex) live(t *Target, lo, hi float64) bool {
+	return !(math.Floor(t.AppearS/tx.bucketS) > hi || (t.VanishS != 0 && math.Floor(t.VanishS/tx.bucketS) < lo))
 }
 
-// keyCache holds a bucket's computed keys: an open-addressed table of
-// (target+1)<<32 | uint32(key) slots, 0 when empty, at most half full.
-// It is sized by the targets keyed, not the set. A map[int32]int32 in
-// its place made block builds ~12% slower over four 24 h airplane runs.
-type keyCache struct {
-	slots []uint64
-	n     int
-	shift uint
-}
-
-// find returns the slot holding target i and true, or the empty slot
-// where i belongs and false.
-func (c *keyCache) find(i int32) (int, bool) {
-	mask := len(c.slots) - 1
-	tag := uint64(i+1) << 32
-	h := int(uint32(i) * 0x9e3779b9 >> c.shift)
-	for ; c.slots[h] != 0; h = (h + 1) & mask {
-		if c.slots[h]&^math.MaxUint32 == tag {
-			return h, true
-		}
-	}
-	return h, false
-}
-
-// grow doubles the table (to 1024 slots at first) and re-inserts every
-// key.
-func (c *keyCache) grow() {
-	old := c.slots
-	c.slots = make([]uint64, max(2*len(old), 1024))
-	c.shift = uint(32 - bits.TrailingZeros(uint(len(c.slots))))
-	for _, s := range old {
-		if s != 0 {
-			h, _ := c.find(int32(s>>32) - 1)
-			c.slots[h] = s
-		}
-	}
-}
-
-func (c *keyCache) reset() {
-	clear(c.slots)
-	c.n = 0
-}
-
-// epoch returns epoch index e, building it on first use; callers hold
-// tx.mu. It is a full Index at the midpoint of the epoch's buckets
-// [epochBuckets*e, epochBuckets*(e+1)) over the targets live in any of
-// them, except the pole-start courses of polar. Targets that appear after
-// the midpoint or vanish before it are keyed where their course
-// extrapolates: bucket liveness stays keyAt's call.
-func (tx *TimedIndex) epoch(e int64) *Index {
-	if ix := tx.epochs[e]; ix != nil {
-		return ix
-	}
-	ix := tx.spareEpoch
-	tx.spareEpoch = nil
-	if ix == nil {
-		ix = &Index{grid: tx.grid, set: tx.set}
-	}
-	first := e * epochBuckets
-	mid := float64(first+epochBuckets/2) * tx.bucketS
-	ix.atTime = mid
-	if len(tx.keys) < len(tx.set.Targets) {
-		tx.keys = make([]int64, len(tx.set.Targets))
-	}
-	lo, hi := float64(first), float64(first+epochBuckets-1)
-	ix.fill(func(i int) int64 { return tx.epochKey(i, lo, hi, mid) }, tx.keys)
-	tx.epochs[e] = ix
-	return ix
-}
-
-// epochKey returns target i's cell in the epoch index of buckets [lo, hi]
-// keyed at mid: -1 when keyAt leaves the target out of every one of
-// those buckets or its course starts near a pole, and otherwise the cell
-// of its unit-vector position at mid, without keyAt's margin tests. An
-// epoch key only selects candidates, so it may be a cell off where the
-// position lies within rounding of an edge; blockMarginM covers that.
-func (tx *TimedIndex) epochKey(i int, lo, hi, mid float64) int64 {
+// keyAt returns moving target i's cell at bucket b's start at, and
+// whether it took the exact path. The cell is -1 when the target is not
+// live in the bucket, where ActiveAt rejects it at every time. Otherwise
+// it is the cell of Target.PosAt(at), read off the target's unit-vector
+// course unless the position lies too close to a cell edge (or a pole)
+// for the cheap test to be sure. Still targets, and every target at t =
+// 0, sit at Pos, which keys without trigonometry.
+func (tx *TimedIndex) keyAt(i int, b, at float64) (int64, bool) {
 	t := &tx.set.Targets[i]
-	if math.Floor(t.AppearS/tx.bucketS) > hi || (t.VanishS != 0 && math.Floor(t.VanishS/tx.bucketS) < lo) {
-		return -1
+	if !tx.live(t, b, b) {
+		return -1, false
 	}
-	if t.SpeedMS == 0 {
-		return tx.grid.keyOf(t.Pos)
+	if t.SpeedMS == 0 || at == 0 {
+		return tx.grid.keyOf(t.PosAt(at)), false
 	}
-	tr := &tx.tracks[i]
-	if tr.nearPole() {
-		return -1
-	}
-	return tx.edges.roughKey(tr.at(t.SpeedMS*mid), tx.grid.stride)
-}
-
-// blockCap returns a centre and radius whose disk holds every position
-// keyed into the block of rows r0..r0+blockSize-1 and columns
-// c0..c0+blockSize-1: the farthest corner of the block's lat/lon box from
-// its centre. Distance from the centre grows along each parallel away
-// from the centre meridian and, for a box less than a hemisphere wide, is
-// largest at an end of each bounding meridian, so a corner is farthest.
-func (g *grid) blockCap(r0, c0 int64) (geo.LatLon, float64) {
-	clamp := func(v, lim float64) float64 { return math.Max(-lim, math.Min(lim, v)) }
-	latLo := clamp(-90+float64(r0)*g.cellDeg, 90)
-	latHi := clamp(-90+float64(r0+blockSize)*g.cellDeg, 90)
-	lonLo := clamp(-180+float64(c0)*g.cellDeg, 180)
-	lonHi := clamp(-180+float64(c0+blockSize)*g.cellDeg, 180)
-	center := geo.LatLon{Lat: (latLo + latHi) / 2, Lon: (lonLo + lonHi) / 2}
-	if lonHi-lonLo >= 180 {
-		return center, math.Pi * geo.EarthMeanRadius
-	}
-	r := 0.0
-	for _, lat := range [2]float64{latLo, latHi} {
-		for _, lon := range [2]float64{lonLo, lonHi} {
-			r = math.Max(r, geo.GreatCircleDistance(center, geo.LatLon{Lat: lat, Lon: lon}))
+	if tr := &tx.tracks[i]; !tr.nearPole() {
+		if k, ok := tx.edges.key(tr.at(t.SpeedMS*at), tx.grid.stride); ok {
+			return k, false
 		}
 	}
-	return center, r
-}
-
-// keyAt returns moving target i's cell at bucket b's start at. It is -1
-// when the target appears after the bucket or vanishes before it:
-// bucketing is monotone in time, so ts >= AppearS implies ts's bucket is
-// no earlier than AppearS's (and likewise for VanishS), and ActiveAt
-// rejects such a target at every time in the bucket. NaN bounds never
-// leave a target out. Otherwise it is the cell of Target.PosAt(at), read
-// off the target's unit-vector course unless the position lies too close
-// to a cell edge (or a pole) for the cheap test to be sure. Still
-// targets, and every target at t = 0, sit at Pos, which keys without
-// trigonometry. Callers hold tx.mu.
-func (tx *TimedIndex) keyAt(i int, b, at float64) int64 {
-	t := &tx.set.Targets[i]
-	if math.Floor(t.AppearS/tx.bucketS) > b || (t.VanishS != 0 && math.Floor(t.VanishS/tx.bucketS) < b) {
-		return -1
-	}
-	tx.keyed++
-	if t.SpeedMS != 0 && at != 0 {
-		if tr := &tx.tracks[i]; !tr.nearPole() {
-			if k, ok := tx.edges.key(tr.at(t.SpeedMS*at), tx.grid.stride); ok {
-				return k
-			}
-		}
-		tx.exact++
-	}
-	return tx.grid.keyOf(t.PosAt(at))
+	return tx.grid.keyOf(t.PosAt(at)), true
 }
 
 // Outside reports whether target i's position at elapsed time ts provably
@@ -719,11 +615,9 @@ func (tx *TimedIndex) initTracks() {
 		if t.SpeedMS > tx.maxSpeed {
 			tx.maxSpeed = t.SpeedMS
 		}
-		if t.SpeedMS != 0 {
-			tx.tracks[i] = newTrack(t.Pos, t.HeadingDeg)
-			if tx.tracks[i].nearPole() {
-				tx.polar = append(tx.polar, int32(i))
-			}
+		tx.tracks[i] = newTrack(t.Pos, t.HeadingDeg)
+		if t.SpeedMS != 0 && tx.tracks[i].nearPole() {
+			tx.polar = append(tx.polar, int32(i))
 		}
 	}
 	tx.edges = newCellEdges(tx.grid.cellDeg)
@@ -955,36 +849,24 @@ func atan2Guess(y, x float64) float64 {
 	return r
 }
 
-// Retire drops the buckets of a moving set that end at or before ts,
-// keeping up to maxSpare of them for their storage, and the epoch indices
-// whose buckets all do. The simulator calls it at each window boundary,
-// since every later query is at or after the boundary; a query into a
-// retired bucket would simply rebuild it. Static sets keep their single
-// bucket. Retire must not run concurrently with queries: a retired
-// bucket's storage is handed to the next build.
+// Retire drops the epochs of a moving set whose buckets all end at or
+// before ts, keeping one for its storage. The simulator calls it at each
+// window boundary, since every later query is at or after the boundary; a
+// query into a retired epoch would simply rebuild it. Retire must not run
+// concurrently with queries: a retired epoch's storage is handed to the
+// next build.
 func (tx *TimedIndex) Retire(ts float64) {
 	if !tx.set.Moving {
 		return
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	for b, bi := range tx.buckets {
-		if float64(b+1)*tx.bucketS > ts {
-			continue
-		}
-		delete(tx.buckets, b)
-		if len(tx.spare) < maxSpare {
-			bk := bi.(*bucket)
-			bk.reset()
-			tx.spare = append(tx.spare, bk)
-		}
-	}
-	for e, ix := range tx.epochs {
+	for e, ep := range tx.epochs {
 		if float64((e+1)*epochBuckets)*tx.bucketS > ts {
 			continue
 		}
 		delete(tx.epochs, e)
-		tx.spareEpoch = ix
+		tx.spare = ep
 	}
 }
 

@@ -194,19 +194,18 @@ func TestNearIntoDifferential(t *testing.T) {
 func TestTimedIndexCourseKeys(t *testing.T) {
 	s := Airplanes(1)
 	tx := NewTimedIndex(s, 2, 600)
-	keyed := 0
+	keyed, exact := 0, 0
 	for _, b := range []int64{1, 7, 36, 72, 100, 143} {
 		at := float64(b) * 600
-		tx.Near(geo.LatLon{}, 1, at)
-		checkBucket(t, tx, NewIndex(s, 2, at), at)
+		exact += checkKeys(t, tx, NewIndex(s, 2, at))
 		for i := range s.Targets {
 			if liveIn(&s.Targets[i], b, 600) {
 				keyed++
 			}
 		}
 	}
-	if frac := float64(tx.exact) / float64(keyed); tx.exact == 0 || frac > 0.03 {
-		t.Errorf("%d of %d keys took the exact fallback (%.2f%%), want some and at most 3%%", tx.exact, keyed, 100*frac)
+	if frac := float64(exact) / float64(keyed); exact == 0 || frac > 0.03 {
+		t.Errorf("%d of %d keys took the exact fallback (%.2f%%), want some and at most 3%%", exact, keyed, 100*frac)
 	}
 }
 
@@ -241,10 +240,8 @@ func TestTimedIndexEdgeTargetsFallBack(t *testing.T) {
 		exact int
 	}{{edges, len(edges.Targets)}, {centres, 0}} {
 		tx := NewTimedIndex(c.s, 2, 600)
-		tx.Near(geo.LatLon{}, 1, at)
-		checkBucket(t, tx, NewIndex(c.s, 2, at), at)
-		if tx.exact != c.exact {
-			t.Errorf("%s: %d keys took the exact fallback, want %d", c.s.Name, tx.exact, c.exact)
+		if exact := checkKeys(t, tx, NewIndex(c.s, 2, at)); exact != c.exact {
+			t.Errorf("%s: %d keys took the exact fallback, want %d", c.s.Name, exact, c.exact)
 		}
 	}
 }
@@ -294,20 +291,23 @@ func TestPoleCourseKeysTopRow(t *testing.T) {
 	}
 }
 
-// TestTimedIndexKeysFewTargets pins the block-by-block bucket fill: one
-// frame-sized query over North America in bucket 7 of the airplane day
-// keys the targets near the blocks it reads -- under a fifth of the
-// bucket's live targets -- and returns what a full-set index returns.
+// TestTimedIndexKeysFewTargets pins what a frame-sized query keys: one
+// query over North America in bucket 7 of the airplane day, swept,
+// filtered exactly and ordered, keys exactly the targets it orders -- a
+// handful of the bucket's live targets, where a bucket build keyed them
+// all -- and returns what a full-set index returns.
 func TestTimedIndexKeysFewTargets(t *testing.T) {
 	s := Airplanes(1)
 	tx := NewTimedIndex(s, 2, 600)
-	const b = 7
+	const b, r = 7, 150e3
 	ts := b*600 + 300.0
 	p := geo.LatLon{Lat: 40, Lon: -95}
-	got := activeAt(s, tx.Near(p, 150e3, ts), ts)
-	want := activeAt(s, NewIndex(s, 2, b*600).Near(p, 150e3, ts), ts)
-	if !slices.Equal(got, want) {
-		t.Fatalf("%d active candidates, full-set index %d", len(got), len(want))
+	var sc OrderScratch
+	kept := within(s, tx.Near(p, r, ts), p, r, ts)
+	got := inOrder(tx, kept, p, r, ts, &sc)
+	want := within(s, NewIndex(s, 2, b*600).Near(p, r, ts), p, r, ts)
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("ordered sweep %v, full-set index %v", got, want)
 	}
 	live := 0
 	for i := range s.Targets {
@@ -315,17 +315,17 @@ func TestTimedIndexKeysFewTargets(t *testing.T) {
 			live++
 		}
 	}
-	if tx.keyed == 0 || 5*tx.keyed >= live {
-		t.Errorf("one query keyed %d of %d live targets, want some and under 20%%", tx.keyed, live)
+	if sc.keyed != len(kept) || 100*sc.keyed >= live {
+		t.Errorf("one query keyed %d targets of %d live and ordered %d, want exactly the ordered ones", sc.keyed, live, len(kept))
 	}
 }
 
-// TestTimedIndexConcurrentFirstTouch races block builds against reads of
-// built blocks, the parallel simulator's access pattern: eight goroutines
-// query overlapping points of the same and adjacent buckets of an
-// airplane day (buckets 5 to 7, across an epoch boundary), and every
-// result must equal the same query on a fresh index queried from one
-// goroutine.
+// TestTimedIndexConcurrentFirstTouch races epoch builds against sweeps of
+// built epochs and Order calls, the parallel simulator's access pattern:
+// eight goroutines query overlapping points of the same and adjacent
+// buckets of an airplane day (buckets 5 to 7, across an epoch boundary),
+// each with its own OrderScratch, and every swept, filtered and ordered
+// result must equal what a full-set NewIndex at the bucket start lists.
 func TestTimedIndexConcurrentFirstTouch(t *testing.T) {
 	s := Airplanes(2)
 	type query struct {
@@ -350,35 +350,102 @@ func TestTimedIndexConcurrentFirstTouch(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			var scratch []int32
+			var sc OrderScratch
 			for _, q := range qs[w] {
 				scratch = tx.NearInto(q.p, q.r, q.ts, scratch[:0])
-				got[w] = append(got[w], slices.Clone(scratch))
+				got[w] = append(got[w], inOrder(tx, within(s, scratch, q.p, q.r, q.ts), q.p, q.r, q.ts, &sc))
 			}
 		}(w)
 	}
 	wg.Wait()
-	ref := NewTimedIndex(s, 2, 600)
+	full := map[int64]*Index{}
+	found := 0
 	for w := range qs {
 		for i, q := range qs[w] {
-			if want := ref.Near(q.p, q.r, q.ts); !slices.Equal(got[w][i], want) {
-				t.Fatalf("goroutine %d query %d: %d candidates, single-goroutine index %d", w, i, len(got[w][i]), len(want))
+			b := int64(math.Floor(q.ts / 600))
+			if full[b] == nil {
+				full[b] = NewIndex(s, 2, float64(b)*600)
 			}
+			want := within(s, full[b].Near(q.p, q.r, q.ts), q.p, q.r, q.ts)
+			if !slices.Equal(got[w][i], want) {
+				t.Fatalf("goroutine %d query %d: ordered sweep %v, full-set index %v", w, i, got[w][i], want)
+			}
+			found += len(want)
 		}
+	}
+	if found == 0 {
+		t.Fatal("no query kept a target")
 	}
 }
 
-// TestTimedIndexNonFiniteCourse keys targets whose course is NaN -- a
-// NaN speed or heading, which Set.Validate does not reject -- where a
-// full-set NewIndex files them, beside an ordinary target, without
-// panicking on the NaN epoch position.
+// TestTimedIndexNonFiniteCourse keys and sweeps targets whose course is
+// NaN -- a NaN speed or heading, which Set.Validate does not reject --
+// beside an ordinary target, without panicking on the NaN epoch position.
+// Each keys where a full-set NewIndex files it, and at t = 0, where
+// Target.PosAt still puts it at Pos, a sweep around it finds it and Order
+// lists what the full-set index lists.
 func TestTimedIndexNonFiniteCourse(t *testing.T) {
 	s := &Set{Name: "nan", Moving: true, Targets: []Target{
 		{ID: 0, Pos: geo.LatLon{Lat: 10, Lon: 20}, SpeedMS: math.NaN(), HeadingDeg: 45, Value: 1},
 		{ID: 1, Pos: geo.LatLon{Lat: -30, Lon: 100}, SpeedMS: 250, HeadingDeg: math.NaN(), Value: 1},
 		{ID: 2, Pos: geo.LatLon{Lat: 40, Lon: -95}, SpeedMS: 250, HeadingDeg: 90, Value: 1},
 	}}
-	const at = 3 * 600.0
 	tx := NewTimedIndex(s, 2, 600)
-	tx.Near(geo.LatLon{Lat: -89}, 1e5, at)
-	checkBucket(t, tx, NewIndex(s, 2, at), at)
+	var sc OrderScratch
+	for _, at := range []float64{0, 3 * 600} {
+		full := NewIndex(s, 2, at)
+		checkKeys(t, tx, full)
+		for _, tgt := range s.Targets {
+			p := tgt.PosAt(at)
+			if math.IsNaN(p.Lat) {
+				continue
+			}
+			got := inOrder(tx, within(s, tx.Near(p, 1e5, at), p, 1e5, at), p, 1e5, at, &sc)
+			if want := within(s, full.Near(p, 1e5, at), p, 1e5, at); len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("t=%v: query at target %d: ordered sweep %v, full-set index %v", at, tgt.ID, got, want)
+			}
+		}
+	}
+}
+
+// TestTimedIndexSweepMargin sweeps at an epoch midpoint, where the pad is
+// zero and only epochMarginM covers the rounding of the epoch's rough
+// cells and float32 slots: moving targets reach points on the query
+// circle, a hair inside it and anywhere inside it at the midpoint, and
+// every one within the radius must be swept.
+func TestTimedIndexSweepMargin(t *testing.T) {
+	const mid = 3 * 600.0 // epoch 0's midpoint
+	rng := rand.New(rand.NewSource(9))
+	s := &Set{Name: "margin", Moving: true}
+	type query struct {
+		p geo.LatLon
+		r float64
+	}
+	var qs []query
+	for qi := 0; qi < 40; qi++ {
+		q := query{p: geo.LatLon{Lat: rng.Float64()*140 - 70, Lon: rng.Float64()*360 - 180}, r: 20e3 + rng.Float64()*300e3}
+		qs = append(qs, q)
+		for k := 0; k < 50; k++ {
+			d := q.r * []float64{1, 1 - 1e-12, 1 - 1e-9, rng.Float64()}[k%4]
+			speed := 180 + rng.Float64()*120
+			start, brg := walkBack(geo.Destination(q.p, rng.Float64()*360, d), rng.Float64()*360, speed*mid)
+			s.Targets = append(s.Targets, Target{ID: len(s.Targets), Pos: start, SpeedMS: speed, HeadingDeg: brg, Value: 1})
+		}
+	}
+	all := make([]int32, len(s.Targets))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	tx := NewTimedIndex(s, 2, 600)
+	found := 0
+	for qi, q := range qs {
+		in := within(s, all, q.p, q.r, mid)
+		if sw := within(s, tx.Near(q.p, q.r, mid), q.p, q.r, mid); len(sw) != len(in) {
+			t.Errorf("query %d: sweep holds %d of the %d targets within %.0f m", qi, len(sw), len(in), q.r)
+		}
+		found += len(in)
+	}
+	if found < len(qs)*30 {
+		t.Errorf("only %d targets within the radii: the circle is not exercised", found)
+	}
 }

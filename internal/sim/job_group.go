@@ -385,7 +385,8 @@ func (j *groupJob) run(untilS float64) error {
 		}
 		st.leaderB.Capture(1)
 		st.leaderB.Compute(j.computeS)
-		cands := st.candidatesNear(j.lead.SubPoint(), j.qr, ts)
+		nadir := j.lead.SubPoint()
+		cands := st.candidatesNear(nadir, j.qr, ts)
 		if len(cands) == 0 {
 			continue
 		}
@@ -400,7 +401,7 @@ func (j *groupJob) run(untilS float64) error {
 		// backward at targets whose windows are closing.
 		center := geo.Destination(ls.SubPoint, ls.HeadingDeg, j.h/2)
 		frame := geo.TangentFrame{Origin: center, BearingDeg: ls.HeadingDeg}
-		idx, pts := st.filterInFrame(cands, frame, j.w, j.h, ts)
+		idx, pts := st.filterInFrame(cands, nadir, j.qr, frame, j.w, j.h, ts)
 		if len(idx) == 0 {
 			continue
 		}

@@ -112,13 +112,14 @@ func (j *stripJob) run(untilS float64) error {
 		// Empty-frame fast path: most ocean/desert steps see no
 		// candidates, so probe the index around the cheap sub-point
 		// before computing the full state and tangent frame.
-		cands := st.candidatesNear(j.stp.SubPoint(), j.qr, ts)
+		nadir := j.stp.SubPoint()
+		cands := st.candidatesNear(nadir, j.qr, ts)
 		if len(cands) == 0 {
 			continue
 		}
 		s := j.stp.State()
 		f := geo.TangentFrame{Origin: s.SubPoint, BearingDeg: s.HeadingDeg}
-		idx, _ := st.filterInFrame(cands, f, j.swath, j.stepLen, ts)
+		idx, _ := st.filterInFrame(cands, nadir, j.qr, f, j.swath, j.stepLen, ts)
 		if len(idx) == 0 {
 			continue
 		}

@@ -105,10 +105,9 @@ func TestLongHorizonMemoryBounded(t *testing.T) {
 
 // TestLongHorizonMovingMemoryBounded is the moving-world counterpart: a
 // week of 20k airplane-shaped targets advanced in daily windows. Moving
-// sets are re-indexed every 600 s, so an index that kept every bucket it
-// ever built would hold over a thousand of them by the end of the week
-// (~150 MiB here); retiring the buckets behind each window keeps the live
-// heap flat.
+// sets are re-indexed every hour, so an index that kept every epoch it
+// ever built would hold 168 of them by the end of the week; retiring the
+// epochs behind each window keeps the live heap flat.
 func TestLongHorizonMovingMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("week-long simulation in -short mode")

@@ -90,8 +90,8 @@ func traceDigest(t *testing.T, buf *bytes.Buffer) uint64 {
 }
 
 // TestMovingWorldWorkersDeterministic: Workers=4 is byte-identical to
-// Workers=1 on a moving world, where concurrent jobs build and read the
-// shared index buckets.
+// Workers=1 on a moving world, where concurrent jobs build and sweep the
+// shared index epochs.
 func TestMovingWorldWorkersDeterministic(t *testing.T) {
 	cfg := movingCfg()
 	var tr1, trN bytes.Buffer
@@ -112,9 +112,9 @@ func TestMovingWorldWorkersDeterministic(t *testing.T) {
 }
 
 // TestMovingWorldWindowedMatchesOneShot: windows that cut through the
-// 600 s index buckets -- so buckets are retired between Advance calls
-// while later frames still query their successors -- reproduce the
-// one-shot Result and trace.
+// 600 s index buckets and hourly epochs -- so epochs are retired between
+// Advance calls while later frames still query their successors --
+// reproduce the one-shot Result and trace.
 func TestMovingWorldWindowedMatchesOneShot(t *testing.T) {
 	cfg := movingCfg()
 	cfg.Workers = 4

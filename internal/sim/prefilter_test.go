@@ -34,8 +34,8 @@ func randomFrame(rng *rand.Rand) geo.TangentFrame {
 // the radius itself, a hair inside and outside it, and anywhere inside it,
 // around random frames and bearings; the frame sizes span the camera
 // catalogue's swaths. The same targets then go through filterInFrame,
-// which must keep exactly the targets, in candidate order, that the
-// exact-only filter keeps.
+// which must keep exactly the targets that the exact-only filter keeps,
+// in the order TimedIndex.Order gives them.
 func TestFilterInFramePrefilterSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := &dataset.Set{Name: "prefilter", Moving: true}
@@ -66,6 +66,7 @@ func TestFilterInFramePrefilterSound(t *testing.T) {
 	}
 	tx := dataset.NewTimedIndex(s, 2, 600)
 	st := &runState{index: tx}
+	var sc dataset.OrderScratch
 	edge := 0
 	for fi, c := range cases {
 		maxD := frameRadius(c.w, c.h)
@@ -92,13 +93,14 @@ func TestFilterInFramePrefilterSound(t *testing.T) {
 				wantPts = append(wantPts, lp)
 			}
 		}
-		idx, pts := st.filterInFrame(cands, c.f, c.w, c.h, c.ts)
-		if len(idx) != len(wantIdx) {
-			t.Fatalf("frame %d: filterInFrame kept %d targets, exact filter %d", fi, len(idx), len(wantIdx))
+		idx, pts := st.filterInFrame(cands, c.f.Origin, maxD, c.f, c.w, c.h, c.ts)
+		order := tx.Order(wantIdx, c.f.Origin, maxD, c.ts, &sc)
+		if len(idx) != len(order) {
+			t.Fatalf("frame %d: filterInFrame kept %d targets, exact filter %d", fi, len(idx), len(order))
 		}
-		for i := range idx {
-			if idx[i] != wantIdx[i] || pts[i] != wantPts[i] {
-				t.Fatalf("frame %d: survivor %d is %d %v, exact filter %d %v", fi, i, idx[i], pts[i], wantIdx[i], wantPts[i])
+		for i, k := range order {
+			if idx[i] != wantIdx[k] || pts[i] != wantPts[k] {
+				t.Fatalf("frame %d: survivor %d is %d %v, exact filter %d %v", fi, i, idx[i], pts[i], wantIdx[k], wantPts[k])
 			}
 		}
 	}

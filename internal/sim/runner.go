@@ -196,7 +196,7 @@ func (r *Runner) Advance(untilS float64) error {
 		})
 		r.nowS = untilS
 		// Every later frame, and every capture it schedules, is at or
-		// after nowS: index buckets that end by then are dead weight.
+		// after nowS: index epochs that end by then are dead weight.
 		r.index.Retire(r.nowS)
 		r.drainTraces()
 		// First error in job order, not completion order, so parallel

@@ -261,8 +261,11 @@ type runState struct {
 	// nothing downstream retains them (detect copies positions, schedules
 	// copy aim points).
 	scCands []int32
+	scKept  []int32
+	scInPts []geo.Point2
 	scIdx   []int32
 	scPts   []geo.Point2
+	scOrder dataset.OrderScratch
 	scFols  []sched.Follower
 }
 
@@ -356,27 +359,31 @@ func frameRadius(w, h float64) float64 {
 	return math.Hypot(w, h)/2 + 5e3
 }
 
-// candidatesNear refills the candidate scratch with index entries near p.
-// An empty result lets the frame loop skip tangent-frame setup entirely.
+// candidatesNear refills the candidate scratch with index entries near p:
+// for a moving set a superset in no bucket order (TimedIndex.NearInto),
+// which callers that only set flags use as it is. An empty result lets
+// the frame loop skip tangent-frame setup entirely.
 func (st *runState) candidatesNear(p geo.LatLon, radiusM, ts float64) []int32 {
 	st.scCands = st.index.NearInto(p, radiusM, ts, st.scCands[:0])
 	return st.scCands
 }
 
-// filterInFrame reduces candidate indices to (targetIndex, local position)
-// pairs for active targets inside the w x h footprint of f, in candidate
-// order (detection draws its RNG per truth target in that order),
-// refilling the idx/pts scratch. Candidates farther than frameRadius from
-// the frame origin are rejected on great-circle distance before the
-// tangent-frame projection: any point inside the rectangle lies within
-// hypot(w,h)/2 of the center up to curvature error (~1e-4 relative at
-// frame scale), far inside the 5 km margin, and ToLocal costs several
-// times a distance. Moving targets are first rejected by chord distance
-// from their cached course (TimedIndex.Outside), which never rejects a
-// point within frameRadius, before any exact position is computed.
-func (st *runState) filterInFrame(cands []int32, f geo.TangentFrame, w, h float64, ts float64) ([]int32, []geo.Point2) {
-	idx := st.scIdx[:0]
-	pts := st.scPts[:0]
+// filterInFrame reduces candidatesNear(p, radiusM, ts)'s result to
+// (targetIndex, local position) pairs for active targets inside the w x h
+// footprint of f, refilling the idx/pts scratch. They come in the order
+// the index's bucket-start walk lists them (TimedIndex.Order), since
+// detection draws its RNG per truth target in that order. Candidates
+// farther than frameRadius from the frame origin are rejected on
+// great-circle distance before the tangent-frame projection: any point
+// inside the rectangle lies within hypot(w,h)/2 of the center up to
+// curvature error (~1e-4 relative at frame scale), far inside the 5 km
+// margin, and ToLocal costs several times a distance. Moving targets are
+// first rejected by chord distance from their cached course
+// (TimedIndex.Outside), which never rejects a point within frameRadius,
+// before any exact position is computed.
+func (st *runState) filterInFrame(cands []int32, p geo.LatLon, radiusM float64, f geo.TangentFrame, w, h float64, ts float64) ([]int32, []geo.Point2) {
+	kept := st.scKept[:0]
+	inPts := st.scInPts[:0]
 	maxD := frameRadius(w, h)
 	disk := dataset.NewCap(f.Origin, maxD)
 	targets := st.index.Set().Targets
@@ -390,9 +397,16 @@ func (st *runState) filterInFrame(cands []int32, f geo.TangentFrame, w, h float6
 		}
 		lp := f.ToLocal(pos)
 		if math.Abs(lp.X) <= w/2 && math.Abs(lp.Y) <= h/2 {
-			idx = append(idx, ci)
-			pts = append(pts, lp)
+			kept = append(kept, ci)
+			inPts = append(inPts, lp)
 		}
+	}
+	st.scKept, st.scInPts = kept, inPts
+	idx := st.scIdx[:0]
+	pts := st.scPts[:0]
+	for _, k := range st.index.Order(kept, p, radiusM, ts, &st.scOrder) {
+		idx = append(idx, kept[k])
+		pts = append(pts, inPts[k])
 	}
 	st.scIdx, st.scPts = idx, pts
 	return idx, pts

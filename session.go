@@ -79,9 +79,10 @@ type SessionAggregate struct {
 
 // NewSession validates cfg eagerly -- a server rejects a bad scenario at
 // creation time, not on its first run -- and returns a handle with the
-// paper defaults filled in.
+// paper defaults filled in. A named dataset is checked by name: its
+// targets are generated when a step runs.
 func NewSession(cfg Config) (*Session, error) {
-	if _, err := toSimConfig(cfg); err != nil {
+	if _, err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
 	if cfg.DurationHours == 0 {

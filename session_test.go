@@ -1,6 +1,7 @@
 package eagleeye
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +73,40 @@ func TestSessionFirstRunMatchesDirectRun(t *testing.T) {
 		got.LeaderEnergyUtilization != want.LeaderEnergyUtilization ||
 		got.FollowerEnergyUtilization != want.FollowerEnergyUtilization {
 		t.Errorf("session first run diverges from direct run:\n%+v\nvs\n%+v", got, want)
+	}
+}
+
+// TestSessionCreateGeneratesNoWorld: creating a session over a named
+// dataset checks the name and bounds without generating the targets --
+// the 55k airplanes alone take megabytes -- and the session then steps to
+// Run's result. An unknown name still fails at creation.
+func TestSessionCreateGeneratesNoWorld(t *testing.T) {
+	cfg := Config{Dataset: "airplanes", Satellites: 2, DurationHours: 0.5, Seed: 3, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewSession(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("creating an airplanes session allocated %d bytes, want under 1 MiB", alloc)
+	}
+	got, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.HighResCaptured != want.HighResCaptured || got.Detections != want.Detections ||
+		got.Captures != want.Captures || got.Frames != want.Frames ||
+		got.CoveragePct != want.CoveragePct || got.CrosslinkKB != want.CrosslinkKB {
+		t.Errorf("session run diverges from direct run:\n%+v\nvs\n%+v", got, want)
+	}
+	if _, err := NewSession(Config{Dataset: "no-such-set"}); err == nil {
+		t.Error("unknown dataset accepted at creation")
 	}
 }
 
