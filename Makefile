@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race tier1 bench bench-selftest bench-smoke bench-solver bench-scale bench-scale-smoke bench-shard-smoke metrics-smoke serve-smoke longhorizon-smoke flight-smoke figures
+.PHONY: build vet test race race-contracts tier1 bench bench-selftest bench-smoke bench-solver bench-scale bench-scale-smoke bench-shard-smoke metrics-smoke serve-smoke longhorizon-smoke flight-smoke figures
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,42 @@ race:
 	$(GO) test -race ./...
 
 tier1: build vet race
+
+# Race contracts: the determinism and differential tests CI runs under the
+# race detector. Warm runs reproduce cold ones, Workers 4 reproduces 1,
+# the warm/cold and sparse/dense differentials hold (fuzz seeds), and the
+# dense-simplex kernels, incremental pricing and polish match the code
+# they replaced. The moving-target index matches a full-set index (sweep,
+# order, keys, concurrent first touch) and every query walks each row of
+# its band once; the moving-world runs match their golden. Destination,
+# the actuation bisection and the detector RNG match their oracles bit
+# for bit, and the generated worlds their golden hashes. Create bodies,
+# checkpoints and one-shot spans stay within their bounds (the one-shot
+# memory test skips under the race detector; longhorizon-smoke runs it).
+# Each name is a -run pattern; one that matches no test in the packages
+# fails the target, so a rename cannot silently shrink the gate.
+race-contracts:
+	@pkgs=". ./internal/sim ./internal/sched ./internal/mip ./internal/lp \
+		./internal/dataset ./internal/geo ./internal/server ./internal/core ./internal/adacs"; \
+	names="TestWarmStart TestWorkersDeterministic TestWarmCold \
+		FuzzWarmStartDifferential FuzzSparseDenseDifferential \
+		FuzzDenseKernelDifferential FuzzDenseRepriceDifferential TestDenseSolveGolden \
+		TestPolishMatchesOracle TestMovingWorld FuzzTimedIndexSpanDifferential \
+		TestTimedIndexCourseKeys TestTimedIndexConcurrentOutside \
+		TestTimedIndexConcurrentFirstTouch TestTimedIndexKeysFewTargets \
+		TestPoleCourseKeysTopRow TestNearVisitsEachRowOnce \
+		TestFilterInFramePrefilterSound TestExecutePrefilterSound \
+		TestDestinationBitIdentical TestActuationTimeBisectionBitIdentical \
+		TestFrameSourceDifferential TestFrameSourceGeneratesOnlyWordsRead \
+		FuzzFrameSourceDifferential TestDatasetGolden TestAdmissionStress \
+		FuzzRestoreSession FuzzCreateBody TestCreateBoundsTargetSpeed \
+		TestSessionRejectsBadCourses TestOneShotMemoryBounded"; \
+	listed=$$($(GO) test -list . $$pkgs) || { echo "$$listed"; exit 1; }; \
+	for n in $$names; do \
+		echo "$$listed" | grep -E '^(Test|Fuzz)' | grep -q -- "$$n" \
+			|| { echo "race-contracts: $$n matches no test in" $$pkgs; exit 1; }; \
+	done; \
+	$(GO) test -race -count=1 -run "$$(echo $$names | tr ' ' '|')" $$pkgs
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -149,14 +185,15 @@ serve-smoke:
 # -- must complete with the live heap under a fixed ceiling. The tests
 # assert it via runtime.MemStats, which catches any regression back to
 # per-frame result state or to an index that keeps every epoch it has
-# built. Phase 2: kill-restore-verify for
+# built; a one-shot week of airplanes must peak within 1.5x of a one-shot
+# day. Phase 2: kill-restore-verify for
 # eagleeyed -- create a continuous session with a scheduled fault, step
 # it partway, SIGTERM the daemon (spooling the session to
 # -checkpoint-dir), restart on the same spool, finish the resumed
 # session, and require its cumulative result to equal an uninterrupted
 # run of the same scenario on every deterministic field.
 longhorizon-smoke:
-	$(GO) test -run 'TestLongHorizonMemoryBounded|TestLongHorizonMovingMemoryBounded' -count=1 ./internal/sim
+	$(GO) test -run 'TestLongHorizonMemoryBounded|TestLongHorizonMovingMemoryBounded|TestOneShotMemoryBounded' -count=1 ./internal/sim
 	$(GO) build -o /tmp/eagleeyed ./cmd/eagleeyed
 	rm -rf /tmp/eagleeye-spool; \
 	SC='{"dataset":"ships","satellites":4,"duration_hours":2,"seed":7,"continuous":true,"events":[{"at_hours":0.5,"kind":"follower-fail"}]}'; \

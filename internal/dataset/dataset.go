@@ -57,17 +57,26 @@ type Set struct {
 	Moving  bool
 }
 
+// MaxSpeedMS bounds a target's ground speed: over three times the
+// fastest generated airliner (300 m/s). A moving-set index pads every
+// query by its fastest target's reach, so one runaway speed would widen
+// every query of the set to the whole globe.
+const MaxSpeedMS = 1000
+
 // Validate checks every target's coordinates and parameters.
 func (s *Set) Validate() error {
 	for i, t := range s.Targets {
 		if !t.Pos.Valid() {
 			return fmt.Errorf("dataset %s: target %d invalid position %v", s.Name, i, t.Pos)
 		}
-		if t.Value <= 0 || t.Value > 1 {
+		if !(t.Value > 0 && t.Value <= 1) {
 			return fmt.Errorf("dataset %s: target %d value %v out of (0,1]", s.Name, i, t.Value)
 		}
-		if t.SpeedMS < 0 {
-			return fmt.Errorf("dataset %s: target %d negative speed", s.Name, i)
+		if !(t.SpeedMS >= 0 && t.SpeedMS <= MaxSpeedMS) {
+			return fmt.Errorf("dataset %s: target %d speed %v m/s out of [0,%d]", s.Name, i, t.SpeedMS, MaxSpeedMS)
+		}
+		if math.IsNaN(t.HeadingDeg) || math.IsInf(t.HeadingDeg, 0) {
+			return fmt.Errorf("dataset %s: target %d heading %v not finite", s.Name, i, t.HeadingDeg)
 		}
 	}
 	return nil

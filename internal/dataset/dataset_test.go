@@ -342,6 +342,24 @@ func TestValidateCatchesBadTargets(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Error("negative speed accepted")
 	}
+	for _, tgt := range []Target{
+		{Value: math.NaN()},
+		{Value: 1, SpeedMS: math.NaN()},
+		{Value: 1, SpeedMS: math.Inf(1)},
+		{Value: 1, SpeedMS: 1e306},
+		{Value: 1, SpeedMS: MaxSpeedMS + 1},
+		{Value: 1, SpeedMS: 250, HeadingDeg: math.NaN()},
+		{Value: 1, SpeedMS: 250, HeadingDeg: math.Inf(-1)},
+	} {
+		s := &Set{Name: "bad", Moving: true, Targets: []Target{tgt}}
+		if err := s.Validate(); err == nil {
+			t.Errorf("target %+v accepted", tgt)
+		}
+	}
+	s = &Set{Name: "fast", Moving: true, Targets: []Target{{Value: 1, SpeedMS: MaxSpeedMS, HeadingDeg: -720}}}
+	if err := s.Validate(); err != nil {
+		t.Errorf("speed at the bound rejected: %v", err)
+	}
 }
 
 func BenchmarkIndexQuery(b *testing.B) {

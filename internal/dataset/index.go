@@ -140,32 +140,14 @@ type cellSpans interface {
 }
 
 // near appends the members of every cell src holds within radiusM+pad of
-// p: NearInto's walk, shared by full indices and TimedIndex.Order, so
-// Order reads the rows and column spans a full index reads, in the same
-// order. Its row loop steps a float latitude by cellDeg, so where the
-// band's edge sits within rounding of a row edge the floor of a step can
-// repeat a row and skip the next (0.7-degree cells, latitude
-// -29.197297297297304 and 300 km walk rows 83, 84, 85, 85, 87, 88, 88,
-// 89, 90). It is generic so that a per-query span value stays on the
-// caller's stack instead of escaping through an interface.
+// p, walking each row of the query's latitude band once, in order, and
+// each row's column span west to east. Full indices, epoch sweeps and
+// TimedIndex.Order share it, so Order reads the rows and column spans a
+// full index reads, in the same order. Its top row may lie past the band,
+// where no point within the radius can be. It is generic so that a
+// per-query span value stays on the caller's stack instead of escaping
+// through an interface.
 func near[S cellSpans](g *grid, src S, p geo.LatLon, radiusM, pad float64, out []int32) []int32 {
-	w := g.window(p, radiusM+pad)
-	for lat := w.latLo; lat <= w.latHi+g.cellDeg; lat += g.cellDeg {
-		if lat < -90-g.cellDeg || lat > 90+g.cellDeg {
-			continue
-		}
-		row := int64(math.Floor((lat + 90) / g.cellDeg))
-		if row < 0 || row >= g.nrows {
-			continue
-		}
-		out = nearRow(g, src, &w, row, out)
-	}
-	return out
-}
-
-// nearRows is near with every row of the band walked exactly once, in
-// order: the walk of an epoch sweep, which must miss no row near covers.
-func nearRows[S cellSpans](g *grid, src S, p geo.LatLon, radiusM, pad float64, out []int32) []int32 {
 	w := g.window(p, radiusM+pad)
 	lo := max(0, int64(math.Floor((w.latLo+90)/g.cellDeg)))
 	hi := min(g.nrows-1, int64(math.Floor((w.latHi+g.cellDeg+90)/g.cellDeg)))
@@ -269,8 +251,8 @@ func cols[S cellSpans](g *grid, src S, out []int32, row, cLo, cHi int64) []int32
 // the targets a caller keeps from that result into the order a full-set
 // NewIndex at the start of ts's bucket (bucketS wide) lists them for the
 // same query: the order the simulator's detector draws its RNG in. Each
-// kept target is keyed at the bucket start from a unit-vector course
-// cached per target (see track), so a query keys only what it keeps.
+// kept target is keyed at the bucket start from its exact position
+// (Target.PosAt), so a query keys only what it keeps.
 //
 // Near, NearInto, Order and Outside are safe for concurrent use: the
 // parallel simulator shares one TimedIndex across worker goroutines, so
@@ -350,7 +332,7 @@ func (tx *TimedIndex) NearInto(p geo.LatLon, radiusM float64, ts float64, out []
 	e := tx.epochAt(ts)
 	pad := tx.maxSpeed * math.Abs(ts-e.mid)
 	sw := sweep{e: e, stride: tx.grid.stride, c: NewCap(p, radiusM+pad+epochMarginM)}
-	out = nearRows(&tx.grid, sw, p, radiusM+epochMarginM, pad, out)
+	out = near(&tx.grid, sw, p, radiusM+epochMarginM, pad, out)
 	out = append(out, tx.polar...)
 	return append(out, e.loose...)
 }
@@ -507,13 +489,12 @@ type orderEnt struct {
 // full-set NewIndex at the start of ts's bucket lists them for the query
 // (p, radiusM, ts), where kept holds distinct targets of a NearInto(p,
 // radiusM, ts) result that are active at ts, in any order. That index
-// lists a target once for each time its walk visits the target's
-// bucket-start cell, members of a cell in input order, so Order keys each
-// kept target there (keyAt), sorts them by cell and target, and emits
-// them along the same walk: a target in a row the walk repeats comes
-// twice, one in a row it skips not at all. For a static set
-// NearInto already walks in that order, and Order returns kept's
-// positions as they are. The result lives in sc until its next use.
+// lists a target when its walk visits the target's bucket-start cell,
+// members of a cell in input order, so Order keys each kept target there
+// (keyAt), sorts them by cell and target, and emits them along the same
+// walk. For a static set NearInto already walks in that order, and Order
+// returns kept's positions as they are. The result lives in sc until its
+// next use.
 func (tx *TimedIndex) Order(kept []int32, p geo.LatLon, radiusM, ts float64, sc *OrderScratch) []int32 {
 	perm := sc.perm[:0]
 	if !tx.set.Moving {
@@ -528,7 +509,7 @@ func (tx *TimedIndex) Order(kept []int32, p geo.LatLon, radiusM, ts float64, sc 
 	at := float64(b) * tx.bucketS
 	ents := sc.ents[:0]
 	for j, i := range kept {
-		if k, _ := tx.keyAt(int(i), float64(b), at); k >= 0 {
+		if k := tx.keyAt(int(i), float64(b), at); k >= 0 {
 			ents = append(ents, orderEnt{key: uint64(k)<<32 | uint64(uint32(i)), at: int32(j)})
 		}
 	}
@@ -566,27 +547,16 @@ func (tx *TimedIndex) live(t *Target, lo, hi float64) bool {
 	return !(math.Floor(t.AppearS/tx.bucketS) > hi || (t.VanishS != 0 && math.Floor(t.VanishS/tx.bucketS) < lo))
 }
 
-// keyAt returns moving target i's cell at bucket b's start at, and
-// whether it took the exact path. The cell is -1 when the target is not
-// live in the bucket, where ActiveAt rejects it at every time. Otherwise
-// it is the cell of Target.PosAt(at), read off the target's unit-vector
-// course unless the position lies too close to a cell edge (or a pole)
-// for the cheap test to be sure. Still targets, and every target at t =
-// 0, sit at Pos, which keys without trigonometry.
-func (tx *TimedIndex) keyAt(i int, b, at float64) (int64, bool) {
+// keyAt returns moving target i's cell at bucket b's start at: -1 when
+// the target is not live in the bucket, where ActiveAt rejects it at
+// every time, and otherwise the cell a full-set NewIndex at the start
+// files it in.
+func (tx *TimedIndex) keyAt(i int, b, at float64) int64 {
 	t := &tx.set.Targets[i]
 	if !tx.live(t, b, b) {
-		return -1, false
+		return -1
 	}
-	if t.SpeedMS == 0 || at == 0 {
-		return tx.grid.keyOf(t.PosAt(at)), false
-	}
-	if tr := &tx.tracks[i]; !tr.nearPole() {
-		if k, ok := tx.edges.key(tr.at(t.SpeedMS*at), tx.grid.stride); ok {
-			return k, false
-		}
-	}
-	return tx.grid.keyOf(t.PosAt(at)), true
+	return tx.grid.keyOf(t.PosAt(at))
 }
 
 // Outside reports whether target i's position at elapsed time ts provably
@@ -647,7 +617,7 @@ func newTrack(p geo.LatLon, bearingDeg float64) track {
 }
 
 // at returns the unit vector distM along the course, with δ computed as
-// geo.Course.At computes it.
+// geo.Destination computes it.
 func (tr *track) at(distM float64) geo.Vec3 {
 	sinD, cosD := math.Sincos(distM / geo.EarthMeanRadius)
 	return geo.Vec3{
@@ -658,9 +628,9 @@ func (tr *track) at(distM float64) geo.Vec3 {
 }
 
 // nearPole reports a course starting within ~6 km of a pole (cos lat <
-// 1e-3). There geo.Course.At's longitude is dominated by rounding -- from
-// the pole itself it is off by up to the distance travelled -- so only
-// the exact path reproduces Target.PosAt's cell or distance.
+// 1e-3). There geo.Destination's longitude is dominated by rounding --
+// from the pole itself it is off by up to the distance travelled -- so
+// only the exact path reproduces Target.PosAt's cell or distance.
 func (tr *track) nearPole() bool { return tr.a.X*tr.a.X+tr.a.Y*tr.a.Y < 1e-6 }
 
 // A Cap is the set of points within a great-circle radius of a centre, in
@@ -702,41 +672,23 @@ type cellEdges struct {
 	rowSin []float64
 	// zRow[j] is the row of the low end of z bin j, z = -1 + 2j/zBins:
 	// where the row search for any z in the bin starts.
-	zRow []int32
-	// colCos, colSin are the cosine and sine of column edge k's longitude:
-	// the meridian's direction in the equatorial plane.
-	colCos, colSin []float64
-	colsPerRad     float64
+	zRow       []int32
+	colsPerRad float64
 }
 
-const (
-	// zBins is the resolution of the z-to-row table; rows are at least
-	// ~2 bins tall up to the polar cutoff at 2-degree cells, so the row
-	// search takes a step or two at most.
-	zBins = 8192
-	// keyMargin is how close, in sin(latitude) and in meridian distance
-	// (the sine of the longitude offset times cos(latitude)), a position
-	// may come to a cell edge before keying falls back to the exact path.
-	// Target.PosAt's own rounding stays below ~1e-11 in both wherever the
-	// cheap path runs.
-	keyMargin = 1e-9
-)
-
-// maxCheapZ = sin(88 degrees): poleward of it asin's conditioning and the
-// shrinking cos(latitude) erode the margins, so keys take the exact path.
-var maxCheapZ = math.Sin(geo.Deg2Rad(88))
+// zBins is the resolution of the z-to-row table; rows are at least ~2
+// bins tall up to the polar cutoff at 2-degree cells, so the row search
+// takes a step or two at most.
+const zBins = 8192
 
 func newCellEdges(cellDeg float64) cellEdges {
 	if cellDeg <= 0 {
 		cellDeg = 2
 	}
 	nrows := int(math.Ceil(180/cellDeg)) + 1
-	ncols := int(math.Ceil(360/cellDeg)) + 1
 	e := cellEdges{
 		rowSin:     make([]float64, nrows+1),
 		zRow:       make([]int32, zBins+1),
-		colCos:     make([]float64, ncols),
-		colSin:     make([]float64, ncols),
 		colsPerRad: 180 / (math.Pi * cellDeg),
 	}
 	for k := range e.rowSin {
@@ -755,56 +707,12 @@ func newCellEdges(cellDeg float64) cellEdges {
 		}
 		e.zRow[j] = r
 	}
-	for k := range e.colCos {
-		e.colSin[k], e.colCos[k] = math.Sincos(geo.Deg2Rad(-180 + float64(k)*cellDeg))
-	}
 	return e
 }
 
-// key returns the cell key of unit vector p in a grid of the given row
-// stride, and false when p lies within keyMargin of a cell edge, poleward
-// of 88 degrees, or outside the interior columns (the first and last
-// regular columns and the seam column, where Index.key's longitude
-// wrapping decides). When it reports true the key equals Index.key of
-// Target.PosAt's latitude and longitude for the same point.
-func (e *cellEdges) key(p geo.Vec3, stride int64) (int64, bool) {
-	z := p.Z
-	if !(z >= -maxCheapZ && z <= maxCheapZ) {
-		return 0, false
-	}
-	r := e.zRow[int((z+1)*(zBins/2))]
-	for z >= e.rowSin[r+1] {
-		r++
-	}
-	if z-e.rowSin[r] < keyMargin || e.rowSin[r+1]-z < keyMargin {
-		return 0, false
-	}
-	// Guess the column from an approximate longitude, then confirm it by
-	// the sides of its two edge meridians: colCos[k]*y - colSin[k]*x is
-	// cos(lat)·sin(lon - edge k), positive east of the edge.
-	c := int64((atan2Guess(p.Y, p.X) + math.Pi) * e.colsPerRad)
-	for step := 0; ; step++ {
-		if c < 1 || c > stride-3 || step > 2 {
-			return 0, false
-		}
-		west := e.colCos[c]*p.Y - e.colSin[c]*p.X
-		east := e.colSin[c+1]*p.X - e.colCos[c+1]*p.Y
-		switch {
-		case west < 0:
-			c--
-		case east < 0:
-			c++
-		case west < keyMargin || east < keyMargin:
-			return 0, false
-		default:
-			return int64(r)*stride + c, true
-		}
-	}
-}
-
 // roughKey returns a cell key of unit vector p in a grid of the given
-// row stride: key's row and column search without its margin tests or
-// range limits, so a position within rounding of an edge, or within
+// row stride: the row from the z-to-row table and row edges, the column
+// from atan2Guess, so a position within rounding of a row edge, or within
 // atan2Guess's error of a column edge, may land in either cell. A NaN
 // vector (a course with a NaN speed or heading) keys into cell 0, where
 // Index.key files a NaN position.
@@ -825,8 +733,8 @@ func (e *cellEdges) roughKey(p geo.Vec3, stride int64) int64 {
 
 // atan2Guess approximates math.Atan2(y, x) to within ~1e-5 rad with a
 // cubic-in-a² polynomial for atan on [0, 1] and octant folding: close
-// enough that the column it picks is off by at most one near an edge,
-// which cellEdges.key's edge tests then correct. x and y must not both be
+// enough that the column it picks lies within ~64 m of the cell the exact
+// longitude falls in, which epochMarginM covers. x and y must not both be
 // zero.
 func atan2Guess(y, x float64) float64 {
 	ax, ay := math.Abs(x), math.Abs(y)

@@ -141,6 +141,49 @@ func TestNearNoDuplicateCandidates(t *testing.T) {
 	}
 }
 
+// TestNearVisitsEachRowOnce queries 300 km around a point of row 86 of a
+// 0.7-degree grid whose band starts within rounding of a row edge. A walk
+// that stepped a float latitude by the cell size visited rows 83, 84, 85,
+// 85, 87, 88, 88, 89, 90 there: the targets of rows 85 and 88 came twice,
+// and neither the one at the query point nor the one at row 86's centre
+// came at all. One target stands at the query point and one at the
+// centre of each row 82 to 92; every one within the radius must be
+// listed exactly once.
+func TestNearVisitsEachRowOnce(t *testing.T) {
+	const cellDeg, r = 0.7, 300e3
+	q := geo.LatLon{Lat: -29.197297297297304, Lon: 10}
+	s := &Set{Name: "rows", Targets: []Target{{ID: 0, Pos: q, Value: 1}}}
+	for row := 82; row <= 92; row++ {
+		p := geo.LatLon{Lat: -90 + (float64(row)+0.5)*cellDeg, Lon: 10}
+		s.Targets = append(s.Targets, Target{ID: len(s.Targets), Pos: p, Value: 1})
+	}
+	ix := NewIndex(s, cellDeg, 0)
+	if row := ix.keyOf(q) / ix.stride; row != 86 {
+		t.Fatalf("query point keys into row %d, want 86", row)
+	}
+	count := make(map[int32]int)
+	for _, ci := range ix.NearInto(q, r, 0, nil) {
+		count[ci]++
+	}
+	inside := 0
+	for i, tgt := range s.Targets {
+		if geo.GreatCircleDistance(tgt.Pos, q) > r {
+			if count[int32(i)] > 1 {
+				t.Errorf("target %d at %v listed %d times", i, tgt.Pos, count[int32(i)])
+			}
+			continue
+		}
+		inside++
+		if count[int32(i)] != 1 {
+			t.Errorf("target %d at %v, %.0f km away, listed %d times, want once",
+				i, tgt.Pos, geo.GreatCircleDistance(tgt.Pos, q)/1e3, count[int32(i)])
+		}
+	}
+	if inside != 9 {
+		t.Errorf("%d targets within %.0f km, want 9 (the query point and rows 83 to 90)", inside, r/1e3)
+	}
+}
+
 // TestNearIntoDifferential checks NearInto ≡ Near ≡ brute force on a
 // random world: identical slices from both query paths, no duplicates,
 // and every target whose indexed position lies within the radius present.
@@ -185,64 +228,14 @@ func TestNearIntoDifferential(t *testing.T) {
 	}
 }
 
-// TestTimedIndexCourseKeys keys every live airplane in a spread of
-// buckets of a day from the unit-vector courses and compares each cell
-// with a full-set NewIndex at the bucket start. Only a small share of
-// keys may take the exact fallback -- the polar caps, the columns beside
-// the antimeridian, and positions within the margin of an edge -- and
-// some must.
+// TestTimedIndexCourseKeys keys every airplane in a spread of buckets of
+// a day and compares each cell with a full-set NewIndex at the bucket
+// start: the same cell for every live target, -1 for the rest.
 func TestTimedIndexCourseKeys(t *testing.T) {
 	s := Airplanes(1)
 	tx := NewTimedIndex(s, 2, 600)
-	keyed, exact := 0, 0
 	for _, b := range []int64{1, 7, 36, 72, 100, 143} {
-		at := float64(b) * 600
-		exact += checkKeys(t, tx, NewIndex(s, 2, at))
-		for i := range s.Targets {
-			if liveIn(&s.Targets[i], b, 600) {
-				keyed++
-			}
-		}
-	}
-	if frac := float64(exact) / float64(keyed); exact == 0 || frac > 0.03 {
-		t.Errorf("%d of %d keys took the exact fallback (%.2f%%), want some and at most 3%%", exact, keyed, 100*frac)
-	}
-}
-
-// TestTimedIndexEdgeTargetsFallBack places moving targets exactly on
-// interior cell edges at a bucket start, where rounding decides the cell:
-// equator walkers (heading 90 or 270 keeps the latitude within an ulp of
-// 0, a row edge of the 2-degree grid) and meridian walkers on a column
-// edge (heading 0 or 180 keeps the longitude exact). Every one must take
-// the exact fallback and land where NewIndex puts it; targets walked to
-// cell centres must all be keyed from their courses.
-func TestTimedIndexEdgeTargetsFallBack(t *testing.T) {
-	const at = 3 * 600.0
-	rng := rand.New(rand.NewSource(5))
-	edges := &Set{Name: "edges", Moving: true}
-	centres := &Set{Name: "centres", Moving: true}
-	for i := 0; i < 200; i++ {
-		tgt := Target{ID: i, SpeedMS: 180 + rng.Float64()*120, Value: 1}
-		if i%2 == 0 {
-			tgt.Pos = geo.LatLon{Lat: 0, Lon: rng.Float64()*300 - 150}
-			tgt.HeadingDeg = []float64{90, 270}[rng.Intn(2)]
-		} else {
-			tgt.Pos = geo.LatLon{Lat: rng.Float64()*100 - 50, Lon: -150 + 2*float64(rng.Intn(150))}
-			tgt.HeadingDeg = []float64{0, 180}[rng.Intn(2)]
-		}
-		edges.Targets = append(edges.Targets, tgt)
-		q := geo.LatLon{Lat: -79 + 2*float64(rng.Intn(80)), Lon: -149 + 2*float64(rng.Intn(150))}
-		tgt.Pos, tgt.HeadingDeg = walkBack(q, rng.Float64()*360, tgt.SpeedMS*at)
-		centres.Targets = append(centres.Targets, tgt)
-	}
-	for _, c := range []struct {
-		s     *Set
-		exact int
-	}{{edges, len(edges.Targets)}, {centres, 0}} {
-		tx := NewTimedIndex(c.s, 2, 600)
-		if exact := checkKeys(t, tx, NewIndex(c.s, 2, at)); exact != c.exact {
-			t.Errorf("%s: %d keys took the exact fallback, want %d", c.s.Name, exact, c.exact)
-		}
+		checkKeys(t, tx, NewIndex(s, 2, float64(b)*600))
 	}
 }
 
@@ -379,8 +372,9 @@ func TestTimedIndexConcurrentFirstTouch(t *testing.T) {
 }
 
 // TestTimedIndexNonFiniteCourse keys and sweeps targets whose course is
-// NaN -- a NaN speed or heading, which Set.Validate does not reject --
-// beside an ordinary target, without panicking on the NaN epoch position.
+// NaN -- a NaN speed or heading, which Set.Validate rejects but sets built
+// in the program need not pass through -- beside an ordinary target,
+// without panicking on the NaN epoch position.
 // Each keys where a full-set NewIndex files it, and at t = 0, where
 // Target.PosAt still puts it at Pos, a sweep around it finds it and Order
 // lists what the full-set index lists.

@@ -220,39 +220,12 @@ func InitialBearing(a, b LatLon) float64 {
 // along the given initial bearing (degrees clockwise from north) on the
 // mean-radius sphere.
 func Destination(p LatLon, bearingDeg, distM float64) LatLon {
-	return NewCourse(p, bearingDeg).At(distM)
-}
-
-// Course is a great-circle course from a start point at a fixed initial
-// bearing, with the trigonometry of the start latitude and the bearing
-// evaluated once. A moving target follows one course for its whole life,
-// so positions along it cost two sin/cos evaluations instead of six.
-type Course struct {
-	sinLat, cosLat float64 // start latitude
-	sinBrg, cosBrg float64 // initial bearing
-	lon            float64 // start longitude, radians
-}
-
-// NewCourse returns the course from p along bearingDeg (degrees clockwise
-// from north).
-func NewCourse(p LatLon, bearingDeg float64) Course {
+	delta := distM / EarthMeanRadius
 	theta := Deg2Rad(bearingDeg)
 	la1 := Deg2Rad(p.Lat)
-	return Course{
-		sinLat: math.Sin(la1), cosLat: math.Cos(la1),
-		sinBrg: math.Sin(theta), cosBrg: math.Cos(theta),
-		lon: Deg2Rad(p.Lon),
-	}
-}
-
-// At returns the point distM meters along the course. It is the
-// spherical destination formula with the cached terms substituted in the
-// same evaluation order, so every position is bit-identical to evaluating
-// the formula from scratch.
-func (c Course) At(distM float64) LatLon {
-	delta := distM / EarthMeanRadius
+	sinLa1, cosLa1 := math.Sin(la1), math.Cos(la1)
 	sinD, cosD := math.Sin(delta), math.Cos(delta)
-	sinLa2 := c.sinLat*cosD + c.cosLat*sinD*c.cosBrg
+	sinLa2 := sinLa1*cosD + cosLa1*sinD*math.Cos(theta)
 	// Rounding can carry a course through a pole just past ±1, where
 	// Asin returns NaN; clamp as GreatCircleDistance does.
 	if sinLa2 > 1 {
@@ -261,9 +234,9 @@ func (c Course) At(distM float64) LatLon {
 		sinLa2 = -1
 	}
 	la2 := math.Asin(sinLa2)
-	y := c.sinBrg * sinD * c.cosLat
-	x := cosD - c.sinLat*sinLa2
-	lo2 := c.lon + math.Atan2(y, x)
+	y := math.Sin(theta) * sinD * cosLa1
+	x := cosD - sinLa1*sinLa2
+	lo2 := Deg2Rad(p.Lon) + math.Atan2(y, x)
 	return LatLon{Lat: Rad2Deg(la2), Lon: Rad2Deg(lo2)}.Normalize()
 }
 

@@ -292,11 +292,10 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-// destinationOracle is the spherical destination formula as it stood
-// before Course cached the start point's trigonometry, every term
-// evaluated from scratch, with sin(lat2) clamped to [-1, 1] as every
-// other asin argument in the package is. It is the bit-identity oracle
-// for Destination and Course.At.
+// destinationOracle is the spherical destination formula with every term
+// evaluated from scratch, and sin(lat2) clamped to [-1, 1] as every other
+// asin argument in the package is. It is Destination's bit-identity
+// oracle.
 func destinationOracle(p LatLon, bearingDeg, distM float64) LatLon {
 	delta := distM / EarthMeanRadius
 	theta := Deg2Rad(bearingDeg)
@@ -316,21 +315,17 @@ func sameBits(a, b LatLon) bool {
 		math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
 }
 
-// TestDestinationBitIdentical pins Destination and Course.At to the
-// from-scratch formula bit for bit (moving-target positions feed index
-// cells and capture tests, so a one-ulp drift could change a result):
-// a grid of poles, antimeridian and zero-distance cases, then 1M random
-// start points, bearings and distances, each also evaluated on a course
-// reused across several distances, as the index does.
+// TestDestinationBitIdentical pins Destination to the from-scratch
+// formula bit for bit (moving-target positions feed index cells and
+// capture tests, so a one-ulp drift could change a result): a grid of
+// poles, antimeridian and zero-distance cases, courses through a pole,
+// then 1M random start points, bearings and distances.
 func TestDestinationBitIdentical(t *testing.T) {
 	check := func(p LatLon, brg, d float64) {
 		t.Helper()
 		want := destinationOracle(p, brg, d)
 		if got := Destination(p, brg, d); !sameBits(got, want) {
 			t.Fatalf("Destination(%v, %v, %v) = %#v, oracle %#v", p, brg, d, got, want)
-		}
-		if got := NewCourse(p, brg).At(d); !sameBits(got, want) {
-			t.Fatalf("NewCourse(%v, %v).At(%v) = %#v, oracle %#v", p, brg, d, got, want)
 		}
 	}
 	lats := []float64{-90, -89.9999999, -45, 0, 45, 89.9999999, 90}
@@ -387,14 +382,5 @@ func TestDestinationBitIdentical(t *testing.T) {
 			d = dists[rng.Intn(len(dists))]
 		}
 		check(p, brg, d)
-		if i%64 == 0 {
-			c := NewCourse(p, brg)
-			for k := 1; k <= 8; k++ {
-				dk := d * float64(k) / 3
-				if got, want := c.At(dk), destinationOracle(p, brg, dk); !sameBits(got, want) {
-					t.Fatalf("reused course (%v, %v).At(%v) = %#v, oracle %#v", p, brg, dk, got, want)
-				}
-			}
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"eagleeye"
+	"eagleeye/internal/dataset"
 	"eagleeye/internal/obs"
 )
 
@@ -246,13 +248,31 @@ func TestCreateAndStepBoundDuration(t *testing.T) {
 	}
 }
 
+// TestCreateBoundsTargetSpeed: a moving custom world whose target flies
+// at 1e306 m/s is refused with 400. That speed padded every moving-set
+// query of the session to the whole globe.
+func TestCreateBoundsTargetSpeed(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(0)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(runawayBody)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("create %s = %d, want 400: %s", runawayBody, rec.Code, rec.Body)
+	}
+}
+
+// runawayBody is a moving custom world with one target at 1e306 m/s.
+const runawayBody = `{"targets":[{"lat":40,"lon":-95,"speed_ms":1e306,"heading_deg":90}],"moving_targets":true,"duration_hours":1}`
+
 // FuzzCreateBody: any create body gets 201 or a 4xx, never a panic, and
-// a created session stays within the duration and satellite bounds.
+// a created session stays within the duration and satellite bounds, its
+// custom targets on finite courses no faster than dataset.MaxSpeedMS.
 func FuzzCreateBody(f *testing.F) {
 	f.Add(`{"dataset":"ships","duration_hours":1e308}`)
 	f.Add(`{"dataset":"ships","duration_hours":8761}`)
 	f.Add(`{"dataset":"ships","satellites":2000000000}`)
 	f.Add(`{"dataset":"ships","satellites":4,"duration_hours":8760}`)
+	f.Add(runawayBody)
 	s := New(Config{})
 	defer s.Shutdown(0)
 	h := s.Handler()
@@ -277,6 +297,11 @@ func FuzzCreateBody(f *testing.F) {
 		s.deleteSession(info.ID)
 		if cfg.DurationHours > eagleeye.MaxDurationHours || cfg.Satellites > eagleeye.MaxSatellites {
 			t.Fatalf("create %q made a session of %v h and %d satellites", body, cfg.DurationHours, cfg.Satellites)
+		}
+		for _, tgt := range cfg.Targets {
+			if !(tgt.SpeedMS <= dataset.MaxSpeedMS) || math.IsNaN(tgt.HeadingDeg) || math.IsInf(tgt.HeadingDeg, 0) {
+				t.Fatalf("create %q made a session with a target at %v m/s, heading %v", body, tgt.SpeedMS, tgt.HeadingDeg)
+			}
 		}
 	})
 }

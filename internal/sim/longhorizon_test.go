@@ -2,9 +2,13 @@ package sim
 
 import (
 	"runtime"
+	"runtime/metrics"
+	"sync"
 	"testing"
+	"time"
 
 	"eagleeye/internal/constellation"
+	"eagleeye/internal/dataset"
 	"eagleeye/internal/obs"
 )
 
@@ -141,4 +145,77 @@ func TestLongHorizonMovingMemoryBounded(t *testing.T) {
 	if res := result(t, r); res.Captures == 0 || res.HighResCaptured == 0 {
 		t.Errorf("week-long moving run captured nothing: %+v", res)
 	}
+}
+
+// TestOneShotMemoryBounded advances the airplane world in one call, as
+// Run and a windowed session step do, over a day and over a week. The
+// peak live heap during the call must be set by the scenario, not the
+// span: an Advance that kept every hourly index epoch until it returned
+// peaked over 4x higher over the week than over the day.
+func TestOneShotMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("week-long simulation in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates heap measurements")
+	}
+	app := dataset.Airplanes(1)
+	peak := func(hours float64) uint64 {
+		// No mustRunner: its cleanup would keep the day's runner, and its
+		// index, reachable through the week's run.
+		r, err := NewRunner(Config{
+			Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
+			App:           app,
+			DurationS:     hours * 3600,
+			Seed:          1,
+			Workers:       1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		runtime.GC()
+		peak := peakLiveHeap(func() { err = r.Advance(r.Duration()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return peak
+	}
+	day, week := peak(24), peak(168)
+	t.Logf("peak live heap: %.1f MiB over 24 h, %.1f MiB over 168 h", float64(day)/(1<<20), float64(week)/(1<<20))
+	if 2*week > 3*day {
+		t.Errorf("168 h one-shot peak %.1f MiB exceeds 1.5x the 24 h peak %.1f MiB",
+			float64(week)/(1<<20), float64(day)/(1<<20))
+	}
+}
+
+// peakLiveHeap runs fn and returns the largest live heap the collector
+// reported while it ran, read every millisecond.
+func peakLiveHeap(fn func()) uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	read := func(peak uint64) uint64 {
+		metrics.Read(sample)
+		return max(peak, sample[0].Value.Uint64())
+	}
+	var peak uint64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				peak = read(peak)
+			}
+		}
+	}()
+	fn()
+	close(done)
+	wg.Wait()
+	return read(peak)
 }

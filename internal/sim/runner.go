@@ -144,6 +144,10 @@ func (r *Runner) scenarioDigest() uint64 {
 	return r.digest
 }
 
+// hourS is the span Advance runs between index retirements: one epoch of
+// the moving-set index, which the runner builds with 600 s buckets.
+const hourS = 3600.0
+
 // Now returns the simulated time the runner has advanced to.
 func (r *Runner) Now() float64 { return r.nowS }
 
@@ -172,10 +176,13 @@ func (r *Runner) workerCount() int {
 // Advance runs every job forward so all frames strictly before untilS
 // are processed, then drains the staged trace records in job order.
 // untilS is clamped to the configured duration; a boundary at or before
-// the current position is a no-op. On a job error the simulation is
-// poisoned (every later call returns the same error), but completed
-// jobs' staged trace records -- and the failing job's prefix -- are
-// still written, so an aborted long run keeps its trace.
+// the current position is a no-op. The jobs run hour by hour (a job that
+// fails skips the later hours), and the index retires its epochs behind
+// each hour, so a long one-shot Advance holds no more index state than a
+// windowed run. On a job error the simulation is poisoned (every later
+// call returns the same error), but completed jobs' staged trace records
+// -- and the failing job's prefix -- are still written, so an aborted
+// long run keeps its trace.
 func (r *Runner) Advance(untilS float64) error {
 	if r.closed {
 		return fmt.Errorf("sim: runner is closed")
@@ -191,13 +198,22 @@ func (r *Runner) Advance(untilS float64) error {
 	}
 	if untilS > r.nowS {
 		errs := make([]error, len(r.jobs))
-		runParallel(r.workerCount(), len(r.jobs), func(i int) {
-			errs[i] = r.jobs[i].run(untilS)
-		})
+		for from := r.nowS; from < untilS; {
+			to := (math.Floor(from/hourS) + 1) * hourS
+			if !(to > from && to < untilS) {
+				to = untilS
+			}
+			runParallel(r.workerCount(), len(r.jobs), func(i int) {
+				if errs[i] == nil {
+					errs[i] = r.jobs[i].run(to)
+				}
+			})
+			// Every later frame, and every capture it schedules, is at or
+			// after to: index epochs that end by then are dead weight.
+			r.index.Retire(to)
+			from = to
+		}
 		r.nowS = untilS
-		// Every later frame, and every capture it schedules, is at or
-		// after nowS: index epochs that end by then are dead weight.
-		r.index.Retire(r.nowS)
 		r.drainTraces()
 		// First error in job order, not completion order, so parallel
 		// runs report the same error as sequential ones.

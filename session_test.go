@@ -1,6 +1,7 @@
 package eagleeye
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,6 +14,28 @@ func TestSessionRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := NewSession(Config{Dataset: "nope"}); err == nil {
 		t.Error("unknown dataset accepted at session creation")
+	}
+}
+
+// TestSessionRejectsBadCourses: a custom moving world whose target has a
+// NaN or infinite speed, a NaN heading or a NaN value fails at session
+// creation. An infinite speed padded every moving-set query of the
+// session to the whole globe.
+func TestSessionRejectsBadCourses(t *testing.T) {
+	for _, tgt := range []Target{
+		{Lat: 40, Lon: -95, SpeedMS: math.NaN(), HeadingDeg: 90},
+		{Lat: 40, Lon: -95, SpeedMS: math.Inf(1), HeadingDeg: 90},
+		{Lat: 40, Lon: -95, SpeedMS: 250, HeadingDeg: math.NaN()},
+		{Lat: 40, Lon: -95, SpeedMS: 250, HeadingDeg: 90, Value: math.NaN()},
+	} {
+		cfg := Config{Targets: []Target{tgt}, MovingTargets: true, DurationHours: 1}
+		if _, err := NewSession(cfg); err == nil {
+			t.Errorf("NewSession accepted target %+v", tgt)
+		}
+	}
+	ok := Config{Targets: []Target{{Lat: 40, Lon: -95, SpeedMS: 250, HeadingDeg: 90}}, MovingTargets: true, DurationHours: 1}
+	if _, err := NewSession(ok); err != nil {
+		t.Errorf("NewSession rejected an airliner: %v", err)
 	}
 }
 
