@@ -25,12 +25,14 @@ tier1: build vet race
 # the warm/cold and sparse/dense differentials hold (fuzz seeds), and the
 # dense-simplex kernels, incremental pricing and polish match the code
 # they replaced. The moving-target index matches a full-set index (sweep,
-# order, keys, concurrent first touch) and every query walks each row of
-# its band once; the moving-world runs match their golden. Destination,
+# order, keys, concurrent first touch), its sweeps keep no target past
+# the extrapolation bound, and every query walks each row of its band
+# once; the moving-world runs match their golden. Destination, ToLocal,
 # the actuation bisection and the detector RNG match their oracles bit
 # for bit, and the generated worlds their golden hashes. Create bodies,
-# checkpoints and one-shot spans stay within their bounds (the one-shot
-# memory test skips under the race detector; longhorizon-smoke runs it).
+# checkpoints, simulator snapshots and one-shot spans stay within their
+# bounds (the one-shot memory test skips under the race detector;
+# longhorizon-smoke runs it).
 # Each name is a -run pattern; one that matches no test in the packages
 # fails the target, so a rename cannot silently shrink the gate.
 race-contracts:
@@ -42,12 +44,12 @@ race-contracts:
 		TestPolishMatchesOracle TestMovingWorld FuzzTimedIndexSpanDifferential \
 		TestTimedIndexCourseKeys TestTimedIndexConcurrentOutside \
 		TestTimedIndexConcurrentFirstTouch TestTimedIndexKeysFewTargets \
-		TestPoleCourseKeysTopRow TestNearVisitsEachRowOnce \
+		TestPoleCourseKeysTopRow TestNearVisitsEachRowOnce TestTimedIndexSweepTight \
 		TestFilterInFramePrefilterSound TestExecutePrefilterSound \
-		TestDestinationBitIdentical TestActuationTimeBisectionBitIdentical \
+		TestDestinationBitIdentical TestToLocalBitIdentical TestActuationTimeBisectionBitIdentical \
 		TestFrameSourceDifferential TestFrameSourceGeneratesOnlyWordsRead \
 		FuzzFrameSourceDifferential TestDatasetGolden TestAdmissionStress \
-		FuzzRestoreSession FuzzCreateBody TestCreateBoundsTargetSpeed \
+		FuzzRestoreSession FuzzRestoreRunner FuzzCreateBody TestCreateBoundsTargetSpeed \
 		TestSessionRejectsBadCourses TestOneShotMemoryBounded"; \
 	listed=$$($(GO) test -list . $$pkgs) || { echo "$$listed"; exit 1; }; \
 	for n in $$names; do \

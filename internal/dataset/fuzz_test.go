@@ -165,7 +165,10 @@ func FuzzNearConsistency(f *testing.F) {
 // repeats included, in the same order. Every target within the radius
 // must be swept, every live target keyed into the cell NewIndex files it
 // in, and Outside must never reject a target whose Target.PosAt lies
-// within the radius.
+// within the radius. The sweep must also be tight: no swept target
+// outside polar and loose may lie, at the query time, farther from p
+// than the chord of r + epochMarginM plus twice the extrapolation bound
+// δ²/2 + δ³/6 (δ = maxSpeed·|ts − mid|/R) and 10 m.
 // Queries walk forward in time with a Retire at or before each one, the
 // simulator's window pattern, and every few steps look back a bucket,
 // often into an epoch already retired, which must rebuild identically.
@@ -235,6 +238,7 @@ func FuzzTimedIndexSpanDifferential(f *testing.F) {
 			if in, sw := within(s, all, p, r, tq), within(s, swept, p, r, tq); len(in) != len(sw) {
 				t.Fatalf("t=%v: sweep holds %d of the %d targets within the radius", tq, len(sw), len(in))
 			}
+			checkSweepBound(t, tx, swept, p, r, tq)
 			checkKeys(t, tx, full)
 			c := NewCap(p, r)
 			for i := range s.Targets {
@@ -394,11 +398,35 @@ func walkBack(q geo.LatLon, brgDeg, distM float64) (geo.LatLon, float64) {
 	return start, geo.Rad2Deg(math.Atan2(tangent.Dot(east), tangent.Dot(north)))
 }
 
+// checkSweepBound fails when swept, a sweep of (p, r, ts), lists a
+// target outside polar and loose whose position at ts lies farther from
+// p, in chord, than the chord of r + epochMarginM plus 2(δ²/2 + δ³/6)
+// and 10 m: the extrapolated midpoint a sweep keeps lies within the
+// first part and δ²/2 + δ³/6 of p, and within δ²/2 + δ³/6 of the
+// target's position.
+func checkSweepBound(t *testing.T, tx *TimedIndex, swept []int32, p geo.LatLon, r, ts float64) {
+	t.Helper()
+	e := tx.epochAt(ts)
+	exempt := make(map[int32]bool)
+	for _, i := range append(slices.Clone(tx.polar), e.loose...) {
+		exempt[i] = true
+	}
+	d := tx.maxSpeed * math.Abs(ts-e.mid) / geo.EarthMeanRadius
+	chord := func(arcM float64) float64 { return 2 * math.Sin(math.Min(arcM/geo.EarthMeanRadius, math.Pi)/2) }
+	bound := chord(r+epochMarginM) + 2*(d*d/2+d*d*d/6) + 10/geo.EarthMeanRadius
+	for _, i := range swept {
+		if got := chord(geo.GreatCircleDistance(tx.set.Targets[i].PosAt(ts), p)); !exempt[i] && got > bound {
+			t.Fatalf("t=%v: sweep lists target %d at chord %.6g, past the bound %.6g (δ %.4g)", ts, i, got, bound, d)
+		}
+	}
+}
+
 // checkKeys compares the bucket-start key of every target with the cell
 // full, a full-set NewIndex at the start of a bucket, files it in: the
 // same cell for every target live in the bucket, -1 for the rest.
 func checkKeys(t *testing.T, tx *TimedIndex, full *Index) {
 	t.Helper()
+	tx.tracksOnce.Do(tx.initTracks)
 	b := int64(math.Floor(full.atTime / tx.bucketS))
 	for i := range tx.set.Targets {
 		tgt := &tx.set.Targets[i]

@@ -266,13 +266,15 @@ type TimedIndex struct {
 	bucketS float64
 
 	// tracks caches every target's course and edges the grid's cell
-	// boundaries, both in unit-vector form; polar lists the moving targets
-	// whose course starts near a pole, and maxSpeed is the largest target
-	// speed. They are built on the first query of a moving set or Outside
-	// call, so creating an index costs nothing up front; static sets never
-	// build them.
+	// boundaries, both in unit-vector form; spans holds every target's
+	// live span in buckets, polar lists the moving targets whose course
+	// starts near a pole, and maxSpeed is the largest target speed. They
+	// are built on the first query of a moving set or Outside call, so
+	// creating an index costs nothing up front; static sets never build
+	// them.
 	tracksOnce sync.Once
 	tracks     []track
+	spans      []liveSpan
 	edges      cellEdges
 	polar      []int32
 	maxSpeed   float64
@@ -283,9 +285,9 @@ type TimedIndex struct {
 	mu     sync.RWMutex
 	epochs map[int64]*epoch
 	// spare is a retired epoch whose storage the next build reuses, and
-	// members is build scratch sized by the live targets.
-	spare   *epoch
-	members []member
+	// places is the builds' scratch, one int32 a target.
+	spare  *epoch
+	places []int32
 }
 
 const (
@@ -296,8 +298,10 @@ const (
 	// epochMarginM widens a sweep past the rounding of epoch keys and
 	// slots: the unit-vector position lies within a millimetre of
 	// Target.PosAt's, atan2Guess's column within ~64 m of the cell the
-	// exact longitude falls in, and a float32 slot within ~1 m of its
-	// float64 vector.
+	// exact longitude falls in, a float32 slot position within ~1 m of
+	// its float64 vector, and its float32 velocity moves the
+	// extrapolated point by under 10 cm over half an hour at 300 m/s
+	// (under 2 m for any sweep that does not keep every slot).
 	epochMarginM = 1e3
 )
 
@@ -316,13 +320,15 @@ func (tx *TimedIndex) Near(p geo.LatLon, radiusM float64, ts float64) []int32 {
 }
 
 // NearInto is Near appending into a caller-owned slice. For a moving set
-// it sweeps the epoch holding ts: every member whose midpoint position
-// lies within radiusM + pad + epochMarginM of p, where pad bounds how far
-// any target travels between the midpoint and ts, plus every course the
-// epoch cannot place, each target at most once. A target within radiusM
-// of p at ts lies within pad of its midpoint position, since a course's
-// displacement is at most its arc, so the result is a superset of the
-// targets active there.
+// it sweeps the epoch holding ts: every member whose midpoint position,
+// carried to ts along its midpoint velocity, lies within the chord of
+// radiusM + epochMarginM of p plus δ²/2 + δ³/6, where δ = pad/R and pad
+// bounds how far any target travels between the midpoint and ts, plus
+// every course the epoch cannot place, each target at most once. The
+// straight line x + u·φ is off its great circle x·cos φ + u·sin φ by at
+// most φ²/2 + |φ|³/6, so the result is a superset of the targets active
+// within radiusM of p at ts. The walk keeps pad: members are filed by
+// their midpoint cell, which lies within pad of the position at ts.
 func (tx *TimedIndex) NearInto(p geo.LatLon, radiusM float64, ts float64, out []int32) []int32 {
 	if !tx.set.Moving {
 		tx.staticOnce.Do(tx.initStatic)
@@ -330,8 +336,12 @@ func (tx *TimedIndex) NearInto(p geo.LatLon, radiusM float64, ts float64, out []
 	}
 	tx.tracksOnce.Do(tx.initTracks)
 	e := tx.epochAt(ts)
-	pad := tx.maxSpeed * math.Abs(ts-e.mid)
-	sw := sweep{e: e, stride: tx.grid.stride, c: NewCap(p, radiusM+pad+epochMarginM)}
+	dt := ts - e.mid
+	pad := tx.maxSpeed * math.Abs(dt)
+	c := NewCap(p, radiusM+epochMarginM)
+	d := pad / geo.EarthMeanRadius
+	lim := math.Sqrt(c.chord2) + d*d/2 + d*d*d/6
+	sw := sweep{e: e, stride: tx.grid.stride, center: c.center, dt: dt, lim2: lim * lim}
 	out = near(&tx.grid, sw, p, radiusM+epochMarginM, pad, out)
 	out = append(out, tx.polar...)
 	return append(out, e.loose...)
@@ -343,13 +353,13 @@ func (tx *TimedIndex) initStatic() { tx.static = NewIndex(tx.set, tx.grid.cellDe
 // targets live in any of its buckets, keyed at the midpoint from their
 // unit-vector courses (cellEdges.roughKey, so a member may sit a cell off
 // where it lies within rounding of an edge) and stored CSR by cell, in
-// input order, each with its unit vector there. Targets that appear after
-// the midpoint or vanish before it sit where their course extrapolates:
-// the sweep's chord test and the caller's ActiveAt decide the rest.
-// Courses starting near a pole are left to polar, and targets whose
-// midpoint vector is not finite (a NaN speed or heading, say, whose
-// Target.PosAt still holds Pos at t = 0) to loose; every query appends
-// both whole.
+// input order, each with its unit vector and velocity there. Targets that
+// appear after the midpoint or vanish before it sit where their course
+// extrapolates: the sweep's chord test and the caller's ActiveAt decide
+// the rest. Courses starting near a pole are left to polar, and targets
+// whose midpoint vector or velocity is not finite (a NaN speed or
+// heading, say, whose Target.PosAt still holds Pos at t = 0) to loose;
+// every query appends both whole.
 type epoch struct {
 	mid     float64
 	offsets []int32
@@ -357,17 +367,21 @@ type epoch struct {
 	loose   []int32
 }
 
-// A slot is one epoch member: its target and its unit vector at the
-// midpoint, in float32 to keep the sweep's reads to 16 bytes.
+// A slot is one epoch member: its target, its unit vector at the
+// midpoint and its velocity there (u·SpeedMS/EarthMeanRadius for the unit
+// direction of travel u, in rad/s; zero for a still target), in float32
+// to keep the sweep's reads to 28 bytes.
 type slot struct {
-	id      int32
-	x, y, z float32
+	id         int32
+	x, y, z    float32
+	wx, wy, wz float32
 }
 
-// member is a slot with its cell, the epoch build's scratch.
-type member struct {
-	key int32
-	slot
+// finite reports whether every coordinate of s is finite: x - x is 0
+// exactly for finite x.
+func (s *slot) finite() bool {
+	return s.x-s.x == 0 && s.y-s.y == 0 && s.z-s.z == 0 &&
+		s.wx-s.wx == 0 && s.wy-s.wy == 0 && s.wz-s.wz == 0
 }
 
 // epochAt returns the epoch holding ts's bucket, building it under the
@@ -396,7 +410,8 @@ func (tx *TimedIndex) epochAt(ts float64) *epoch {
 }
 
 // buildEpoch builds epoch e, reusing a retired epoch's storage: one
-// counting sort by cell over the live targets. Callers hold tx.mu.
+// counting sort by cell over the live targets, in place, so the build's
+// only scratch is places. Callers hold tx.mu.
 func (tx *TimedIndex) buildEpoch(e int64) *epoch {
 	ep := tx.spare
 	tx.spare = nil
@@ -408,61 +423,93 @@ func (tx *TimedIndex) buildEpoch(e int64) *epoch {
 	first := e * epochBuckets
 	ep.mid = float64(first+epochBuckets/2) * tx.bucketS
 	ep.loose = ep.loose[:0]
-	members := tx.members[:0]
-	for i := range tx.set.Targets {
-		t := &tx.set.Targets[i]
-		if !tx.live(t, float64(first), float64(first+epochBuckets-1)) {
-			continue
-		}
+	lo, hi := float64(first), float64(first+epochBuckets-1)
+	// Gather the live targets without a branch per target (liveness
+	// flips from one target to the next, so a branch mispredicts): every
+	// id is written, and the next one overwrites it unless it is live.
+	places := slices.Grow(tx.places[:0], len(tx.spans))[:len(tx.spans)]
+	live := 0
+	for i := range tx.spans {
+		places[live] = int32(i)
+		live += 1 - tx.spans[i].dead(lo, hi)
+	}
+	// Each member's cell then replaces the id it was read from, or an
+	// earlier one, in places.
+	ids := places[:live]
+	places = places[:0]
+	slots := slices.Grow(ep.slots[:0], live)
+	for _, i := range ids {
+		speed := tx.set.Targets[i].SpeedMS
 		tr := &tx.tracks[i]
-		v := tr.a
-		if t.SpeedMS != 0 {
+		v, w := tr.a, geo.Vec3{}
+		if speed != 0 {
 			if tr.nearPole() {
 				continue
 			}
-			v = tr.at(t.SpeedMS * ep.mid)
+			var u geo.Vec3
+			v, u = tr.at(speed * ep.mid)
+			w = u.Scale(speed / geo.EarthMeanRadius)
 		}
-		// x - x is 0 exactly for finite x.
-		if v.X-v.X != 0 || v.Y-v.Y != 0 || v.Z-v.Z != 0 {
-			ep.loose = append(ep.loose, int32(i))
+		s := slot{i, float32(v.X), float32(v.Y), float32(v.Z), float32(w.X), float32(w.Y), float32(w.Z)}
+		if !s.finite() {
+			ep.loose = append(ep.loose, i)
 			continue
 		}
 		k := int32(tx.edges.roughKey(v, tx.grid.stride))
-		members = append(members, member{k, slot{int32(i), float32(v.X), float32(v.Y), float32(v.Z)}})
+		slots = append(slots, s)
+		places = append(places, k)
 		ep.offsets[k+1]++
 	}
-	tx.members = members
-	// Shifted exclusive prefix sum, then a scatter in input order that
-	// advances each cell's start to its end, as in NewIndex.
+	// Shifted exclusive prefix sum, then each member's place in input
+	// order, which advances each cell's start to its end, as in NewIndex.
 	start := int32(0)
 	for c := 1; c < len(ep.offsets); c++ {
 		cnt := ep.offsets[c]
 		ep.offsets[c] = start
 		start += cnt
 	}
-	ep.slots = slices.Grow(ep.slots[:0], len(members))[:len(members)]
-	for _, m := range members {
-		ep.slots[ep.offsets[m.key+1]] = m.slot
-		ep.offsets[m.key+1]++
+	for j, k := range places {
+		places[j] = ep.offsets[k+1]
+		ep.offsets[k+1]++
 	}
+	// Move every slot to its place along the permutation's cycles: carry
+	// a slot to its place, pick up the one there, and go on until the
+	// cycle closes, marking each place filled.
+	for j := range slots {
+		d := places[j]
+		if d == int32(j) {
+			continue
+		}
+		m := slots[j]
+		for d != int32(j) {
+			m, slots[d] = slots[d], m
+			d, places[d] = places[d], d
+		}
+		slots[j], places[j] = m, d
+	}
+	ep.slots, tx.places = slots, places
 	return ep
 }
 
 // sweep is one query's walk over an epoch: it keeps the members of each
-// span whose midpoint vector lies within the chord of c.
+// span whose midpoint vector, carried dt seconds along its velocity,
+// lies within sqrt(lim2) of center. A NaN distance or bound keeps the
+// member.
 type sweep struct {
 	e      *epoch
 	stride int64
-	c      Cap
+	center geo.Vec3
+	dt     float64
+	lim2   float64
 }
 
 func (s sweep) span(out []int32, row, cLo, cHi int64) []int32 {
 	base := row * s.stride
 	for _, m := range s.e.slots[s.e.offsets[base+cLo]:s.e.offsets[base+cHi+1]] {
-		dx := float64(m.x) - s.c.center.X
-		dy := float64(m.y) - s.c.center.Y
-		dz := float64(m.z) - s.c.center.Z
-		if dx*dx+dy*dy+dz*dz <= s.c.chord2 {
+		dx := float64(m.x) + float64(m.wx)*s.dt - s.center.X
+		dy := float64(m.y) + float64(m.wy)*s.dt - s.center.Y
+		dz := float64(m.z) + float64(m.wz)*s.dt - s.center.Z
+		if !(dx*dx+dy*dy+dz*dz > s.lim2) {
 			out = append(out, m.id)
 		}
 	}
@@ -538,25 +585,46 @@ func (o ordered) span(out []int32, row, cLo, cHi int64) []int32 {
 	return out
 }
 
-// live reports whether target t may be active in some bucket of [lo, hi],
-// judged on the bucket each of its times floors to: bucketing is monotone
-// in time, so ts >= AppearS implies ts's bucket is no earlier than
-// AppearS's (and likewise for VanishS). NaN bounds never leave a target
-// out.
-func (tx *TimedIndex) live(t *Target, lo, hi float64) bool {
-	return !(math.Floor(t.AppearS/tx.bucketS) > hi || (t.VanishS != 0 && math.Floor(t.VanishS/tx.bucketS) < lo))
+// A liveSpan is the buckets a target's AppearS and VanishS floor to, the
+// latter +Inf for a target that never vanishes (VanishS 0); NaN and ±Inf
+// floors are kept as they are.
+type liveSpan struct{ appear, vanish float64 }
+
+func newLiveSpan(t *Target, bucketS float64) liveSpan {
+	sp := liveSpan{appear: math.Floor(t.AppearS / bucketS), vanish: math.Inf(1)}
+	if t.VanishS != 0 {
+		sp.vanish = math.Floor(t.VanishS / bucketS)
+	}
+	return sp
+}
+
+// dead is 1 when the target cannot be active in any bucket of [lo, hi]
+// and 0 when it may be, judged on the bucket each of its times floors to:
+// bucketing is monotone in time, so ts >= AppearS implies ts's bucket is
+// no earlier than AppearS's (and likewise for VanishS). NaN bounds never
+// leave a target out. It computes no branch.
+func (sp liveSpan) dead(lo, hi float64) int {
+	return b2i(sp.appear > hi) | b2i(sp.vanish < lo)
+}
+
+// b2i is 1 for true and 0 for false, which the compiler computes
+// without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // keyAt returns moving target i's cell at bucket b's start at: -1 when
 // the target is not live in the bucket, where ActiveAt rejects it at
 // every time, and otherwise the cell a full-set NewIndex at the start
-// files it in.
+// files it in. Callers have built the tracks.
 func (tx *TimedIndex) keyAt(i int, b, at float64) int64 {
-	t := &tx.set.Targets[i]
-	if !tx.live(t, b, b) {
+	if tx.spans[i].dead(b, b) != 0 {
 		return -1
 	}
-	return tx.grid.keyOf(t.PosAt(at))
+	return tx.grid.keyOf(tx.set.Targets[i].PosAt(at))
 }
 
 // Outside reports whether target i's position at elapsed time ts provably
@@ -574,18 +642,21 @@ func (tx *TimedIndex) Outside(i int32, ts float64, c *Cap) bool {
 	if tr.nearPole() {
 		return false
 	}
-	d := tr.at(t.SpeedMS * ts).Sub(c.center)
+	v, _ := tr.at(t.SpeedMS * ts)
+	d := v.Sub(c.center)
 	return d.Dot(d) > c.chord2
 }
 
 func (tx *TimedIndex) initTracks() {
 	tx.tracks = make([]track, len(tx.set.Targets))
+	tx.spans = make([]liveSpan, len(tx.set.Targets))
 	for i := range tx.set.Targets {
 		t := &tx.set.Targets[i]
 		if t.SpeedMS > tx.maxSpeed {
 			tx.maxSpeed = t.SpeedMS
 		}
 		tx.tracks[i] = newTrack(t.Pos, t.HeadingDeg)
+		tx.spans[i] = newLiveSpan(t, tx.bucketS)
 		if t.SpeedMS != 0 && tx.tracks[i].nearPole() {
 			tx.polar = append(tx.polar, int32(i))
 		}
@@ -617,14 +688,21 @@ func newTrack(p geo.LatLon, bearingDeg float64) track {
 }
 
 // at returns the unit vector distM along the course, with δ computed as
-// geo.Destination computes it.
-func (tr *track) at(distM float64) geo.Vec3 {
+// geo.Destination computes it, and the unit direction of travel there,
+// from the same Sincos.
+func (tr *track) at(distM float64) (pos, dir geo.Vec3) {
 	sinD, cosD := math.Sincos(distM / geo.EarthMeanRadius)
-	return geo.Vec3{
+	pos = geo.Vec3{
 		X: tr.a.X*cosD + tr.b.X*sinD,
 		Y: tr.a.Y*cosD + tr.b.Y*sinD,
 		Z: tr.a.Z*cosD + tr.b.Z*sinD,
 	}
+	dir = geo.Vec3{
+		X: tr.b.X*cosD - tr.a.X*sinD,
+		Y: tr.b.Y*cosD - tr.a.Y*sinD,
+		Z: tr.b.Z*cosD - tr.a.Z*sinD,
+	}
+	return pos, dir
 }
 
 // nearPole reports a course starting within ~6 km of a pole (cos lat <

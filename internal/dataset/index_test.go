@@ -443,3 +443,66 @@ func TestTimedIndexSweepMargin(t *testing.T) {
 		t.Errorf("only %d targets within the radii: the circle is not exercised", found)
 	}
 }
+
+// TestTimedIndexSweepTight pins the time-accurate sweep on the
+// simulator's index of an airplane day (2-degree cells, 600 s buckets):
+// 126 km sweeps at 0, ±10, ±29 and +29.98 minutes from several epoch
+// midpoints list no target, outside polar and loose, whose position at
+// the query time lies farther from p than r + epochMarginM + 2R(δ²/2 +
+// δ³/6) + 10 m, δ = maxSpeed·|ts − mid|/R: the slack of carrying each
+// midpoint along its velocity, where a sweep of midpoints alone lists
+// targets up to twice the half hour of flight (~540 km) it pads by. Every
+// target active within r must still be swept.
+func TestTimedIndexSweepTight(t *testing.T) {
+	s := Airplanes(7)
+	tx := NewTimedIndex(s, 2, 600)
+	tx.tracksOnce.Do(tx.initTracks)
+	const r = 126e3
+	kept, inside := 0, 0
+	pos := make([]geo.LatLon, len(s.Targets))
+	for _, e := range []int64{0, 7, 13, 20} {
+		mid := float64(e*epochBuckets+epochBuckets/2) * 600
+		for _, off := range []float64{0, 10, -10, 29, -29, 29.98} {
+			ts := mid + off*60
+			for i := range s.Targets {
+				pos[i] = s.Targets[i].PosAt(ts)
+			}
+			d := tx.maxSpeed * math.Abs(ts-mid) / geo.EarthMeanRadius
+			bound := r + epochMarginM + 2*geo.EarthMeanRadius*(d*d/2+d*d*d/6) + 10
+			exempt := make(map[int32]bool)
+			for _, i := range append(slices.Clone(tx.polar), tx.epochAt(ts).loose...) {
+				exempt[i] = true
+			}
+			queries := 0
+			for q := int(e) * 97; queries < 6; q += 6899 {
+				if !s.Targets[q%len(s.Targets)].ActiveAt(ts) {
+					continue
+				}
+				queries++
+				p := pos[q%len(s.Targets)]
+				swept := tx.NearInto(p, r, ts, nil)
+				listed := make(map[int32]bool, len(swept))
+				for _, i := range swept {
+					listed[i] = true
+					if dist := geo.GreatCircleDistance(pos[i], p); !exempt[i] && dist > bound {
+						t.Fatalf("t=%v p=%v: sweep lists target %d at %.0f m, %.0f m past the %.0f m bound",
+							ts, p, i, dist, dist-bound, bound)
+					}
+				}
+				kept += len(swept)
+				for i := range s.Targets {
+					if s.Targets[i].ActiveAt(ts) && geo.GreatCircleDistance(pos[i], p) <= r {
+						inside++
+						if !listed[int32(i)] {
+							t.Fatalf("t=%v p=%v: target %d within %.0f m is not swept", ts, p, i, r)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("sweeps kept %d candidates, %d active within the radius", kept, inside)
+	if inside == 0 {
+		t.Fatal("no target within the radius: the sweep is not exercised")
+	}
+}

@@ -384,3 +384,62 @@ func TestDestinationBitIdentical(t *testing.T) {
 		check(p, brg, d)
 	}
 }
+
+// TestToLocalBitIdentical pins ToLocal, which computes the distance,
+// bearing and cross-track arc once, to the CrossTrackDistance and
+// AlongTrackDistance pair it stands for, bit for bit: frames at the
+// poles, on the antimeridian and on the equator against coincident
+// points, antipodes, the poles, points across the antimeridian and the
+// poles of the track, where the cross-track arc is a right angle; then
+// 1M random frames and points, alternately within 300 km of the origin
+// and anywhere on the globe. The track's pole is as close as float64
+// comes to cos xt == 0: the arc rounds to either side of pi/2, and
+// math.Cos has no float64 zero, so the guard for it never fires.
+func TestToLocalBitIdentical(t *testing.T) {
+	check := func(f TangentFrame, p LatLon) {
+		t.Helper()
+		got := f.ToLocal(p)
+		want := Point2{X: CrossTrackDistance(p, f.Origin, f.BearingDeg), Y: AlongTrackDistance(p, f.Origin, f.BearingDeg)}
+		if math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+			t.Fatalf("%+v.ToLocal(%v) = %#v, oracle %#v", f, p, got, want)
+		}
+	}
+	origins := []LatLon{
+		{Lat: 0, Lon: 0}, {Lat: 90, Lon: 0}, {Lat: -90, Lon: 45}, {Lat: 0, Lon: 180},
+		{Lat: 0, Lon: -180}, {Lat: 45, Lon: 179.9999999}, {Lat: -30, Lon: -179.9999999},
+	}
+	brgs := []float64{0, 45, 90, 180, 270, 359.9999999, -90, 720}
+	for _, o := range origins {
+		for _, brg := range brgs {
+			f := TangentFrame{Origin: o, BearingDeg: brg}
+			pts := []LatLon{
+				o,                               // coincident
+				{Lat: -o.Lat, Lon: o.Lon + 180}, // antipode
+				{Lat: 90}, {Lat: -90},           // poles
+				{Lat: o.Lat, Lon: o.Lon + 0.0000001}, // across the antimeridian from ±180
+				{Lat: o.Lat, Lon: -o.Lon},
+				Destination(o, brg+90, math.Pi/2*EarthMeanRadius), // the track's poles
+				Destination(o, brg-90, math.Pi/2*EarthMeanRadius),
+				Destination(o, brg, 1e-3), Destination(o, brg+180, 50e3),
+			}
+			for _, p := range pts {
+				check(f, p)
+			}
+		}
+	}
+
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 14
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < n; i++ {
+		o := LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+		f := TangentFrame{Origin: o, BearingDeg: rng.Float64() * 360}
+		p := LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+		if i%2 == 0 {
+			p = Destination(o, rng.Float64()*360, rng.Float64()*300e3)
+		}
+		check(f, p)
+	}
+}

@@ -92,10 +92,30 @@ type TangentFrame struct {
 	BearingDeg float64
 }
 
-// ToLocal projects a geodetic point into the frame.
+// ToLocal projects a geodetic point into the frame: X is
+// CrossTrackDistance and Y AlongTrackDistance from the origin on the
+// frame's bearing, bit for bit. The distance, bearing and cross-track
+// arc they share are computed once, by the same expressions in the same
+// order.
 func (f TangentFrame) ToLocal(p LatLon) Point2 {
-	at := AlongTrackDistance(p, f.Origin, f.BearingDeg)
-	xt := CrossTrackDistance(p, f.Origin, f.BearingDeg)
+	d13 := GreatCircleDistance(f.Origin, p) / EarthMeanRadius
+	b13 := Deg2Rad(InitialBearing(f.Origin, p))
+	b12 := Deg2Rad(f.BearingDeg)
+	xt := math.Asin(math.Sin(d13)*math.Sin(b13-b12)) * EarthMeanRadius
+	cosXT := math.Cos(xt / EarthMeanRadius)
+	if cosXT == 0 {
+		return Point2{X: xt}
+	}
+	r := math.Cos(d13) / cosXT
+	if r > 1 {
+		r = 1
+	} else if r < -1 {
+		r = -1
+	}
+	at := math.Acos(r) * EarthMeanRadius
+	if math.Cos(b13-b12) < 0 {
+		at = -at
+	}
 	return Point2{X: xt, Y: at}
 }
 

@@ -386,7 +386,7 @@ func (j *groupJob) run(untilS float64) error {
 		st.leaderB.Capture(1)
 		st.leaderB.Compute(j.computeS)
 		nadir := j.lead.SubPoint()
-		cands := st.candidatesNear(nadir, j.qr, ts)
+		cands := st.candidatesNear(nadir, j.qr, ts, queryFrame)
 		if len(cands) == 0 {
 			continue
 		}
@@ -637,7 +637,7 @@ func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres 
 			// their own buffers.
 			aim := frame.ToGeodetic(c.Aim)
 			disk := dataset.NewCap(aim, reach)
-			for _, ci := range st.candidatesNear(aim, reach, absT) {
+			for _, ci := range st.candidatesNear(aim, reach, absT, queryCapture) {
 				if !targets[ci].ActiveAt(absT) || st.index.Outside(ci, absT, &disk) {
 					continue
 				}

@@ -113,7 +113,7 @@ func (j *stripJob) run(untilS float64) error {
 		// candidates, so probe the index around the cheap sub-point
 		// before computing the full state and tangent frame.
 		nadir := j.stp.SubPoint()
-		cands := st.candidatesNear(nadir, j.qr, ts)
+		cands := st.candidatesNear(nadir, j.qr, ts, queryFrame)
 		if len(cands) == 0 {
 			continue
 		}

@@ -36,6 +36,18 @@ var stageNames = [numStages]string{
 	"ephemeris", "detect", "cluster", "sched", "execute", "account",
 }
 
+// queryID indexes the simulator's target-index queries, whose results
+// (TimedIndex.NearInto candidates) the caller filters exactly.
+type queryID int
+
+const (
+	queryFrame   queryID = iota // a frame's footprint (leader frames and strip steps)
+	queryCapture                // a capture's footprint (executeSchedule)
+	numQueries
+)
+
+var queryNames = [numQueries]string{"frame", "capture"}
+
 // The ephemeris advance costs about as much as reading the clock, so
 // timing every frame would perturb the measurement and blow the <5%
 // enabled-mode overhead budget on empty frames. Every 64th frame is
@@ -59,6 +71,7 @@ type simMetrics struct {
 	schedSolves         *obs.Counter
 	recaptureSuppressed *obs.Counter
 	crosslinkBytes      *obs.Counter
+	candidates          [numQueries]*obs.Counter
 
 	// Fault-event counters (deterministic; Config.Events is part of the
 	// scenario).
@@ -120,6 +133,11 @@ func newSimMetrics(r *obs.Registry) *simMetrics {
 		solverSched:         obs.NewSolverMetrics(r, "sched"),
 		solverCluster:       obs.NewSolverMetrics(r, "cluster"),
 	}
+	for q := queryID(0); q < numQueries; q++ {
+		m.candidates[q] = r.Counter("eagleeye_index_candidates_total",
+			"Target-index candidates the simulator filters, by query: the width of the index's superset.",
+			obs.Label{Key: "query", Value: queryNames[q]})
+	}
 	for s := stageID(0); s < numStages; s++ {
 		lbl := obs.Label{Key: "stage", Value: stageNames[s]}
 		m.stageNS[s] = r.Counter("eagleeye_stage_nanoseconds_total",
@@ -144,6 +162,7 @@ type jobMetrics struct {
 	schedSolves         obs.CounterShard
 	recaptureSuppressed obs.CounterShard
 	crosslinkBytes      obs.CounterShard
+	candidates          [numQueries]obs.CounterShard
 	eventsFollowerFail  obs.CounterShard
 	eventsLeaderFail    obs.CounterShard
 	leaderReelections   obs.CounterShard
@@ -174,6 +193,9 @@ func (m *simMetrics) job(i int) *jobMetrics {
 		missedDeadlines:     m.missedDeadlines.Shard(i),
 		schedFallbacks:      m.schedFallbacks.Shard(i),
 		clusterFallbacks:    m.clusterFallbacks.Shard(i),
+	}
+	for q := queryID(0); q < numQueries; q++ {
+		jm.candidates[q] = m.candidates[q].Shard(i)
 	}
 	for s := stageID(0); s < numStages; s++ {
 		jm.stageNS[s] = m.stageNS[s].Shard(i)

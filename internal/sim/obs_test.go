@@ -109,6 +109,13 @@ func TestMetricsWorkerDeterminism(t *testing.T) {
 			t.Errorf("%s: zero on an active run", name)
 		}
 	}
+	for _, q := range queryNames {
+		lbl := obs.Label{Key: "query", Value: q}
+		v1, v4 := r1.CounterValue("eagleeye_index_candidates_total", lbl), r4.CounterValue("eagleeye_index_candidates_total", lbl)
+		if v1 != v4 || v1 == 0 {
+			t.Errorf("index candidates{query=%s}: Workers=1 total %d, Workers=4 total %d, want equal and nonzero", q, v1, v4)
+		}
+	}
 }
 
 func TestMetricsStripBaseline(t *testing.T) {

@@ -362,9 +362,13 @@ func frameRadius(w, h float64) float64 {
 // candidatesNear refills the candidate scratch with index entries near p:
 // for a moving set a superset in no bucket order (TimedIndex.NearInto),
 // which callers that only set flags use as it is. An empty result lets
-// the frame loop skip tangent-frame setup entirely.
-func (st *runState) candidatesNear(p geo.LatLon, radiusM, ts float64) []int32 {
+// the frame loop skip tangent-frame setup entirely. With metrics on, the
+// result's length counts toward query q's candidates.
+func (st *runState) candidatesNear(p geo.LatLon, radiusM, ts float64, q queryID) []int32 {
 	st.scCands = st.index.NearInto(p, radiusM, ts, st.scCands[:0])
+	if st.met != nil {
+		st.met.candidates[q].Add(int64(len(st.scCands)))
+	}
 	return st.scCands
 }
 

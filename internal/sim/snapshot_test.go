@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -392,4 +394,103 @@ func TestSnapshotOfFailedOrClosedRunner(t *testing.T) {
 	if err := r.Snapshot(&buf); err == nil {
 		t.Error("closed runner snapshotted")
 	}
+}
+
+// snapHeaderLen is the length of a snapshot's header: magic, version,
+// flags, scenario digest, position and job count.
+const snapHeaderLen = 8 + 2 + 2 + 8 + 8 + 4
+
+// FuzzRestoreRunner feeds arbitrary snapshot bytes to RestoreRunner under
+// a fixed small moving world and a 1 h span: every input must yield a
+// runner or an error, never a panic, and a restored runner must stand
+// within the span, each job at most one frame past its position. The
+// seeds are a valid snapshot at 0.5 h and its truncations, then edits of
+// it: a recapture registry claiming 2^32-1 keys with none after them, a
+// frame cursor past what the replay produces, positions NaN, +Inf, -1 and
+// past the span, and a wrong job count.
+func FuzzRestoreRunner(f *testing.F) {
+	cfg := Config{
+		Constellation:  constellation.Config{Kind: constellation.LeaderFollower, Satellites: 4},
+		App:            movingWorld(600, 5, 3600),
+		DurationS:      3600,
+		Seed:           3,
+		RecaptureDedup: true,
+	}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := r.Advance(1800); err != nil {
+		f.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := r.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	// Job 0's section as Snapshot writes it: the recapture registry's key
+	// count sits before its keys and the trailing trace cursor.
+	var job0 bytes.Buffer
+	bw := &binWriter{w: &job0}
+	r.jobs[0].snapExtra(bw)
+	r.jobs[0].state().snapshot(bw)
+	keys := len(r.jobs[0].state().capCells)
+	capCount := snapHeaderLen + job0.Len() - 8 - 8*keys - 4
+	jobs := len(r.jobs)
+	r.Close()
+	valid := snap.Bytes()
+	if got := binary.BigEndian.Uint32(valid[capCount:]); int(got) != keys {
+		f.Fatalf("job 0's registry count reads %d at byte %d, want %d", got, capCount, keys)
+	}
+	if rr, err := RestoreRunner(cfg, bytes.NewReader(valid)); err != nil {
+		f.Fatalf("the valid seed does not restore: %v", err)
+	} else {
+		rr.Close()
+	}
+	edit := func(off int, val []byte) []byte {
+		b := slices.Clone(valid)
+		copy(b[off:], val)
+		return b
+	}
+	u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	f.Add(valid)
+	for _, n := range []int{0, 8, snapHeaderLen - 1, snapHeaderLen + 3, capCount, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	f.Add(append(slices.Clone(valid[:capCount]), 0xff, 0xff, 0xff, 0xff))
+	const frameCursor = snapHeaderLen + 1 + 4 // job tag, group index
+	f.Add(edit(frameCursor, u64(binary.BigEndian.Uint64(valid[frameCursor:])+1)))
+	f.Add(edit(frameCursor, u64(math.MaxInt64)))
+	const pos = snapHeaderLen - 4 - 8 // before the job count
+	for _, v := range []float64{math.NaN(), math.Inf(1), -1, 2 * cfg.DurationS} {
+		f.Add(edit(pos, u64(math.Float64bits(v))))
+	}
+	f.Add(edit(snapHeaderLen-4, binary.BigEndian.AppendUint32(nil, uint32(jobs+1))))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rr, err := RestoreRunner(cfg, bytes.NewReader(body))
+		switch {
+		case err == nil && rr == nil:
+			t.Fatal("no runner and no error")
+		case err != nil && rr != nil:
+			t.Fatalf("a runner and an error: %v", err)
+		case rr == nil:
+			return
+		}
+		defer rr.Close()
+		if !(rr.nowS >= 0 && rr.nowS <= cfg.DurationS) {
+			t.Fatalf("restored at %v s, outside the %v s span", rr.nowS, cfg.DurationS)
+		}
+		for i, j := range rr.jobs {
+			var ts, step float64
+			switch j := j.(type) {
+			case *groupJob:
+				ts, step = j.ts, j.cadence
+			case *stripJob:
+				ts, step = j.ts, j.stepS
+			}
+			if ts > rr.nowS+step {
+				t.Fatalf("job %d replayed to %v s, past the restored position %v s by more than a frame", i, ts, rr.nowS)
+			}
+		}
+	})
 }
