@@ -25,19 +25,22 @@ tier1: build vet race
 # the warm/cold and sparse/dense differentials hold (fuzz seeds), and the
 # dense-simplex kernels, incremental pricing and polish match the code
 # they replaced. The moving-target index matches a full-set index (sweep,
-# order, keys, concurrent first touch), its sweeps keep no target past
-# the extrapolation bound, and every query walks each row of its band
-# once; the moving-world runs match their golden. Destination, ToLocal,
-# the actuation bisection and the detector RNG match their oracles bit
-# for bit, and the generated worlds their golden hashes. Create bodies,
-# checkpoints, simulator snapshots and one-shot spans stay within their
+# order, keys, concurrent first touch, prefetched builds racing sweeps and
+# Retire, ten times over), its sweeps keep no target past the
+# extrapolation bound, and every query walks each row of its band once;
+# the runner prefetches only epochs its frames reach, and the moving-world
+# runs match their golden. Destination, ToLocal, the actuation bisection
+# and the detector RNG match their oracles bit for bit, and the generated
+# worlds their golden hashes. Create bodies, checkpoints, simulator
+# snapshots, one-shot spans and eeinspect's inputs stay within their
 # bounds (the one-shot memory test skips under the race detector;
 # longhorizon-smoke runs it).
 # Each name is a -run pattern; one that matches no test in the packages
 # fails the target, so a rename cannot silently shrink the gate.
 race-contracts:
 	@pkgs=". ./internal/sim ./internal/sched ./internal/mip ./internal/lp \
-		./internal/dataset ./internal/geo ./internal/server ./internal/core ./internal/adacs"; \
+		./internal/dataset ./internal/geo ./internal/server ./internal/core ./internal/adacs \
+		./cmd/eeinspect"; \
 	names="TestWarmStart TestWorkersDeterministic TestWarmCold \
 		FuzzWarmStartDifferential FuzzSparseDenseDifferential \
 		FuzzDenseKernelDifferential FuzzDenseRepriceDifferential TestDenseSolveGolden \
@@ -45,6 +48,7 @@ race-contracts:
 		TestTimedIndexCourseKeys TestTimedIndexConcurrentOutside \
 		TestTimedIndexConcurrentFirstTouch TestTimedIndexKeysFewTargets \
 		TestPoleCourseKeysTopRow TestNearVisitsEachRowOnce TestTimedIndexSweepTight \
+		TestTimedIndexPrefetch TestRunnerPrefetchHorizon FuzzIngest \
 		TestFilterInFramePrefilterSound TestExecutePrefilterSound \
 		TestDestinationBitIdentical TestToLocalBitIdentical TestActuationTimeBisectionBitIdentical \
 		TestFrameSourceDifferential TestFrameSourceGeneratesOnlyWordsRead \
@@ -57,6 +61,7 @@ race-contracts:
 			|| { echo "race-contracts: $$n matches no test in" $$pkgs; exit 1; }; \
 	done; \
 	$(GO) test -race -count=1 -run "$$(echo $$names | tr ' ' '|')" $$pkgs
+	$(GO) test -race -count=10 -run '^TestTimedIndexPrefetch$$' ./internal/dataset
 
 bench:
 	$(GO) test -bench=. -benchmem .

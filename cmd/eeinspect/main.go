@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -44,9 +45,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	rep := &report{top: *top}
+	rep := &report{top: *top, warn: os.Stderr}
 	for _, path := range flag.Args() {
-		if err := rep.ingest(path); err != nil {
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = rep.ingest(data)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "eeinspect: %s: %v\n", path, err)
 			os.Exit(1)
 		}
@@ -72,7 +77,8 @@ type traceLine struct {
 }
 
 type report struct {
-	top int
+	top  int
+	warn io.Writer // receives schema-mismatch warnings
 
 	dumps  []obs.FlightDump
 	frames []obs.FlightFrame // deduplicated union of every dump's frames
@@ -88,11 +94,9 @@ type report struct {
 	captures    int
 }
 
-func (r *report) ingest(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
+// ingest adds one file's contents to the report: a flight dump, a
+// /debug/flight aggregate or an NDJSON trace, told apart by their shape.
+func (r *report) ingest(data []byte) error {
 	trim := bytes.TrimSpace(data)
 	if len(trim) == 0 {
 		return fmt.Errorf("empty file")
@@ -129,7 +133,7 @@ func (r *report) ingest(path string) error {
 
 func (r *report) addDump(d obs.FlightDump) {
 	if d.Schema != obs.FlightSchema {
-		fmt.Fprintf(os.Stderr, "eeinspect: warning: dump schema %d, tool speaks %d\n", d.Schema, obs.FlightSchema)
+		fmt.Fprintf(r.warn, "eeinspect: warning: dump schema %d, tool speaks %d\n", d.Schema, obs.FlightSchema)
 	}
 	r.dumps = append(r.dumps, d)
 	if r.seen == nil {
@@ -193,7 +197,7 @@ func percentile(sorted []float64, p float64) float64 {
 
 func ms(ns int64) float64 { return float64(ns) / 1e6 }
 
-func (r *report) print(w *os.File) {
+func (r *report) print(w io.Writer) {
 	for _, d := range r.dumps {
 		name := d.Session
 		if name == "" {
@@ -218,7 +222,7 @@ func (r *report) print(w *os.File) {
 
 // printStages aggregates span durations by stage/solve name across every
 // retained frame and prints a percentile table.
-func (r *report) printStages(w *os.File) {
+func (r *report) printStages(w io.Writer) {
 	byName := make(map[string][]float64)
 	var order []string
 	var frameDur []float64
@@ -258,7 +262,7 @@ func (r *report) printStages(w *os.File) {
 
 // printCriticalPaths prints a span-by-span breakdown of the slowest
 // retained frames.
-func (r *report) printCriticalPaths(w *os.File) {
+func (r *report) printCriticalPaths(w io.Writer) {
 	frames := make([]obs.FlightFrame, 0, len(r.frames))
 	for _, f := range r.frames {
 		if f.Group >= 0 {
@@ -266,11 +270,8 @@ func (r *report) printCriticalPaths(w *os.File) {
 		}
 	}
 	sort.Slice(frames, func(i, j int) bool { return frames[i].DurNS > frames[j].DurNS })
-	n := r.top
-	if n > len(frames) {
-		n = len(frames)
-	}
-	if n == 0 {
+	n := min(r.top, len(frames))
+	if n <= 0 {
 		return
 	}
 
@@ -305,7 +306,7 @@ func (r *report) printCriticalPaths(w *os.File) {
 	}
 }
 
-func (r *report) printAnomalies(w *os.File) {
+func (r *report) printAnomalies(w io.Writer) {
 	totals := make(map[string]uint64)
 	for _, d := range r.dumps {
 		for k, v := range d.Anomalies {
@@ -345,7 +346,7 @@ func (r *report) printAnomalies(w *os.File) {
 	}
 }
 
-func (r *report) printTrace(w *os.File) {
+func (r *report) printTrace(w io.Writer) {
 	sort.Float64s(r.schedMS)
 	fmt.Fprintf(w, "\ntrace: %d frames, %d deadline misses\n", r.traceLines, r.traceMissed)
 	fmt.Fprintf(w, "  sched_ms p50 %.3f  p90 %.3f  p99 %.3f  max %.3f\n",

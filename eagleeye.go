@@ -203,7 +203,9 @@ type Config struct {
 	Flight *FlightRecorder `json:"-"`
 	// Workers runs independent constellation groups (or strip satellites)
 	// on this many goroutines: 0 means all CPUs, 1 sequential. Results
-	// and traces are deterministic for any value at a fixed seed.
+	// and traces are deterministic for any value at a fixed seed. A
+	// moving world (airplanes) also builds the next hour's target index
+	// on one helper goroutine while this hour's frames run.
 	Workers int
 }
 

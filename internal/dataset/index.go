@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"eagleeye/internal/geo"
 )
@@ -254,12 +256,12 @@ func cols[S cellSpans](g *grid, src S, out []int32, row, cLo, cHi int64) []int32
 // kept target is keyed at the bucket start from its exact position
 // (Target.PosAt), so a query keys only what it keeps.
 //
-// Near, NearInto, Order and Outside are safe for concurrent use: the
-// parallel simulator shares one TimedIndex across worker goroutines, so
-// index builds are mutex-guarded, a built index is immutable once
-// published, and queries keep their scratch in caller-owned slices.
-// Retire recycles epoch storage and must not run concurrently with
-// queries.
+// Near, NearInto, Order, Outside and Prefetch are safe for concurrent
+// use: the parallel simulator shares one TimedIndex across worker
+// goroutines, so each epoch is built once (see epochCell), a built index
+// is immutable once published, and queries keep their scratch in
+// caller-owned slices. Retire recycles epoch storage and must not run
+// concurrently with queries; it may run beside a build Prefetch started.
 type TimedIndex struct {
 	set     *Set
 	grid    grid
@@ -283,11 +285,43 @@ type TimedIndex struct {
 	static     *Index
 
 	mu     sync.RWMutex
-	epochs map[int64]*epoch
+	epochs map[int64]*epochCell
 	// spare is a retired epoch whose storage the next build reuses, and
-	// places is the builds' scratch, one int32 a target.
+	// places is the builds' scratch, one int32 a target. A build takes
+	// both under mu and hands places back when it is done, so builds run
+	// outside the lock and two concurrent builds each own their scratch.
 	spare  *epoch
 	places []int32
+
+	// pending counts the builds Prefetch started that have not finished;
+	// the rest are the running totals EpochStats reports.
+	pending            sync.WaitGroup
+	builds, prefetches atomic.Int64
+	buildNS, blockedNS atomic.Int64
+}
+
+// An epochCell is one epoch's slot in the index: built once, by the
+// first query that reaches it or by Prefetch, outside the index's lock.
+// Queries that reach it while it is being built wait on once. done is set
+// after ep, so Retire can skip a build in progress without waiting.
+type epochCell struct {
+	once sync.Once
+	done atomic.Bool
+	ep   *epoch
+}
+
+// EpochStats are a moving TimedIndex's running totals of epoch builds.
+// Builds depends only on which epochs queries and Prefetch reach; the two
+// times are wall-clock figures.
+type EpochStats struct {
+	// Builds counts the epochs built, and Prefetches the builds Prefetch
+	// started.
+	Builds, Prefetches int64
+	// BuildNS is the time spent building epochs, wherever the builds ran.
+	BuildNS int64
+	// BlockedNS is the time queries spent blocked on a build: building
+	// the epoch themselves, or waiting for a build already under way.
+	BlockedNS int64
 }
 
 const (
@@ -311,7 +345,7 @@ func NewTimedIndex(s *Set, cellDeg, bucketS float64) *TimedIndex {
 	if bucketS <= 0 {
 		bucketS = 600
 	}
-	return &TimedIndex{set: s, grid: newGrid(cellDeg), bucketS: bucketS, epochs: make(map[int64]*epoch)}
+	return &TimedIndex{set: s, grid: newGrid(cellDeg), bucketS: bucketS, epochs: make(map[int64]*epochCell)}
 }
 
 // Near returns candidate indices near p at elapsed time ts.
@@ -384,37 +418,104 @@ func (s *slot) finite() bool {
 		s.wx-s.wx == 0 && s.wy-s.wy == 0 && s.wz-s.wz == 0
 }
 
-// epochAt returns the epoch holding ts's bucket, building it under the
-// write lock unless another worker got there first (double-checked: the
-// read-locked lookup may be stale).
+// epochAt returns the epoch holding ts's bucket, building it unless
+// another query or a prefetch got there first, in which case it waits for
+// that build.
 func (tx *TimedIndex) epochAt(ts float64) *epoch {
+	e := tx.epochOf(ts)
+	c, _ := tx.cell(e)
+	if c.done.Load() {
+		return c.ep
+	}
+	start := time.Now()
+	c.once.Do(func() { tx.build(c, e) })
+	tx.blockedNS.Add(int64(time.Since(start)))
+	return c.ep
+}
+
+// epochOf returns the epoch holding ts's bucket.
+func (tx *TimedIndex) epochOf(ts float64) int64 {
 	b := int64(math.Floor(ts / tx.bucketS))
 	e := b / epochBuckets
 	if b%epochBuckets < 0 {
 		e--
 	}
+	return e
+}
+
+// cell returns epoch e's cell, and whether it had none and an empty one
+// was added (double-checked: the read-locked lookup may be stale).
+func (tx *TimedIndex) cell(e int64) (c *epochCell, added bool) {
 	tx.mu.RLock()
-	ep := tx.epochs[e]
+	c = tx.epochs[e]
 	tx.mu.RUnlock()
-	if ep != nil {
-		return ep
+	if c != nil {
+		return c, false
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	if ep := tx.epochs[e]; ep != nil {
-		return ep
+	if c = tx.epochs[e]; c != nil {
+		return c, false
 	}
-	ep = tx.buildEpoch(e)
-	tx.epochs[e] = ep
-	return ep
+	c = &epochCell{}
+	tx.epochs[e] = c
+	return c, true
+}
+
+// Prefetch starts building the epoch holding ts on a helper goroutine,
+// so that the queries that reach it later find it built. It does nothing
+// for a static set or for an epoch that already has a cell: built, being
+// built, or reached by a query. Wait waits for the builds it started.
+func (tx *TimedIndex) Prefetch(ts float64) {
+	if !tx.set.Moving {
+		return
+	}
+	e := tx.epochOf(ts)
+	c, added := tx.cell(e)
+	if !added {
+		return
+	}
+	tx.prefetches.Add(1)
+	tx.pending.Add(1)
+	go func() {
+		defer tx.pending.Done()
+		tx.tracksOnce.Do(tx.initTracks)
+		c.once.Do(func() { tx.build(c, e) })
+	}()
+}
+
+// Wait blocks until every build Prefetch started has finished. It must
+// not run concurrently with Prefetch.
+func (tx *TimedIndex) Wait() { tx.pending.Wait() }
+
+// EpochStats returns the index's epoch-build totals so far.
+func (tx *TimedIndex) EpochStats() EpochStats {
+	return EpochStats{
+		Builds:     tx.builds.Load(),
+		Prefetches: tx.prefetches.Load(),
+		BuildNS:    tx.buildNS.Load(),
+		BlockedNS:  tx.blockedNS.Load(),
+	}
+}
+
+// build builds epoch e into its cell and counts it; c.once runs it.
+func (tx *TimedIndex) build(c *epochCell, e int64) {
+	start := time.Now()
+	c.ep = tx.buildEpoch(e)
+	tx.buildNS.Add(int64(time.Since(start)))
+	tx.builds.Add(1)
+	c.done.Store(true)
 }
 
 // buildEpoch builds epoch e, reusing a retired epoch's storage: one
 // counting sort by cell over the live targets, in place, so the build's
-// only scratch is places. Callers hold tx.mu.
+// only scratch is places. It takes the spare storage and the scratch
+// under tx.mu and builds outside it.
 func (tx *TimedIndex) buildEpoch(e int64) *epoch {
-	ep := tx.spare
-	tx.spare = nil
+	tx.mu.Lock()
+	ep, places := tx.spare, tx.places
+	tx.spare, tx.places = nil, nil
+	tx.mu.Unlock()
 	if ep == nil {
 		ep = &epoch{offsets: make([]int32, tx.grid.nrows*tx.grid.stride+1)}
 	} else {
@@ -427,7 +528,7 @@ func (tx *TimedIndex) buildEpoch(e int64) *epoch {
 	// Gather the live targets without a branch per target (liveness
 	// flips from one target to the next, so a branch mispredicts): every
 	// id is written, and the next one overwrites it unless it is live.
-	places := slices.Grow(tx.places[:0], len(tx.spans))[:len(tx.spans)]
+	places = slices.Grow(places[:0], len(tx.spans))[:len(tx.spans)]
 	live := 0
 	for i := range tx.spans {
 		places[live] = int32(i)
@@ -487,7 +588,10 @@ func (tx *TimedIndex) buildEpoch(e int64) *epoch {
 		}
 		slots[j], places[j] = m, d
 	}
-	ep.slots, tx.places = slots, places
+	ep.slots = slots
+	tx.mu.Lock()
+	tx.places = places
+	tx.mu.Unlock()
 	return ep
 }
 
@@ -840,19 +944,20 @@ func atan2Guess(y, x float64) float64 {
 // window boundary, since every later query is at or after the boundary; a
 // query into a retired epoch would simply rebuild it. Retire must not run
 // concurrently with queries: a retired epoch's storage is handed to the
-// next build.
+// next build. It never waits for a build: it skips any epoch whose build
+// has not finished, which only Prefetch leaves running.
 func (tx *TimedIndex) Retire(ts float64) {
 	if !tx.set.Moving {
 		return
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	for e, ep := range tx.epochs {
-		if float64((e+1)*epochBuckets)*tx.bucketS > ts {
+	for e, c := range tx.epochs {
+		if !c.done.Load() || float64((e+1)*epochBuckets)*tx.bucketS > ts {
 			continue
 		}
 		delete(tx.epochs, e)
-		tx.spare = ep
+		tx.spare = c.ep
 	}
 }
 

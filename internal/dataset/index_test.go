@@ -3,9 +3,11 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"eagleeye/internal/geo"
 )
@@ -369,6 +371,128 @@ func TestTimedIndexConcurrentFirstTouch(t *testing.T) {
 	if found == 0 {
 		t.Fatal("no query kept a target")
 	}
+}
+
+// TestTimedIndexPrefetch races prefetched epoch builds against the
+// parallel simulator's access pattern around them. Over three hours of an
+// airplane day, the next hour's epoch is prefetched while eight
+// goroutines sweep and order queries in this hour and in the first six
+// minutes of the next, so some queries wait for the build in flight or
+// build that epoch themselves. Between hours Retire runs while the next
+// build is in flight. Then, after a Retire past every epoch, half the
+// goroutines query the epoch just prefetched and half the one after it,
+// so two builds run at once on scratch a finished build handed back.
+// Every sweep and every ordered result must equal a fresh index queried
+// from one goroutine, each epoch is built once, Retire never drops an
+// epoch whose build has not finished, and no goroutine outlives Wait. On
+// a static set Prefetch starts no goroutine.
+func TestTimedIndexPrefetch(t *testing.T) {
+	base := runtime.NumGoroutine()
+	static := NewTimedIndex(Ships(1), 2, 600)
+	static.Prefetch(3600)
+	if n := runtime.NumGoroutine(); n > base || static.EpochStats() != (EpochStats{}) {
+		t.Fatalf("static set: %d goroutines (base %d), stats %+v; want no prefetch", n, base, static.EpochStats())
+	}
+
+	s := Airplanes(2)
+	type query struct {
+		p     geo.LatLon
+		r, ts float64
+	}
+	type answer struct{ swept, ordered []int32 }
+	const hours, workers = 3, 8
+	// queriesAt lists goroutine w's queries from hour h's start to six
+	// minutes into the next hour.
+	queriesAt := func(h, w int) []query {
+		var qs []query
+		for i := 0; i < 12; i++ {
+			qs = append(qs, query{
+				p:  geo.LatLon{Lat: 30 + float64((w+i)%5)*3, Lon: -100 + float64((3*w+i)%8)*2.5},
+				r:  150e3,
+				ts: float64(h)*3600 + float64((5*w+7*i)%66)*60 + float64(i%3)*17,
+			})
+		}
+		return qs
+	}
+	ask := func(tx *TimedIndex, q query, sc *OrderScratch) answer {
+		swept := tx.Near(q.p, q.r, q.ts)
+		return answer{swept, inOrder(tx, within(s, swept, q.p, q.r, q.ts), q.p, q.r, q.ts, sc)}
+	}
+	tx := NewTimedIndex(s, 2, 600)
+	round := func(hourOf func(w int) int) (got [workers][]answer) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var sc OrderScratch
+				for _, q := range queriesAt(hourOf(w), w) {
+					got[w] = append(got[w], ask(tx, q, &sc))
+				}
+			}(w)
+		}
+		wg.Wait()
+		return got
+	}
+
+	var got [hours][workers][]answer
+	tx.Prefetch(3600)
+	for h := 0; h < hours; h++ {
+		got[h] = round(func(int) int { return h })
+		tx.Prefetch(float64(h+2) * 3600)
+		tx.Retire(float64(h+1) * 3600)
+	}
+	tx.Wait()
+	if st := tx.EpochStats(); st.Builds != hours+2 || st.Prefetches != hours+1 {
+		t.Errorf("stats %+v, want %d builds (epochs 0 to %d) and %d prefetches", st, hours+2, hours+1, hours+1)
+	}
+	lateHour := func(w int) int { return hours + 2 + w%2 }
+	tx.Prefetch(float64(hours+2) * 3600)
+	tx.Retire(math.Inf(1))
+	late := round(lateHour)
+	tx.Wait()
+	c, _ := tx.cell(hours + 9)
+	tx.Retire(math.Inf(1))
+	if tx.epochs[hours+9] != c {
+		t.Error("Retire dropped an epoch whose build has not finished")
+	}
+
+	fresh := NewTimedIndex(s, 2, 600)
+	var sc OrderScratch
+	found := 0
+	check := func(h, w int, g []answer) {
+		for i, q := range queriesAt(h, w) {
+			want := ask(fresh, q, &sc)
+			if !slices.Equal(g[i].swept, want.swept) || !slices.Equal(g[i].ordered, want.ordered) {
+				t.Fatalf("goroutine %d, t=%v: swept %v ordered %v, fresh index %v and %v", w, q.ts, g[i].swept, g[i].ordered, want.swept, want.ordered)
+			}
+			found += len(want.ordered)
+		}
+	}
+	for w := 0; w < workers; w++ {
+		for h := 0; h < hours; h++ {
+			check(h, w, got[h][w])
+		}
+		check(lateHour(w), w, late[w])
+	}
+	if found == 0 {
+		t.Fatal("no query kept a target")
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Errorf("%d goroutines after Wait, %d before", n, base)
+	}
+}
+
+// settleGoroutines waits up to a second for the goroutine count to fall
+// to base, since a goroutine runs on briefly after the WaitGroup it
+// signals releases its waiter, and returns the count.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > base; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }
 
 // TestTimedIndexNonFiniteCourse keys and sweeps targets whose course is

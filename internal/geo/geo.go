@@ -256,11 +256,11 @@ func AlongTrackDistance(p, a LatLon, bearingDeg float64) float64 {
 	d13 := GreatCircleDistance(a, p) / EarthMeanRadius
 	xt := CrossTrackDistance(p, a, bearingDeg) / EarthMeanRadius
 	cosD13 := math.Cos(d13)
-	cosXT := math.Cos(xt)
-	if cosXT == 0 {
-		return 0
-	}
-	r := cosD13 / cosXT
+	// cos xt is never 0, so the quotient is finite or NaN: xt is an asin,
+	// within rounding of [-π/2, π/2], and the cosines of the float64s
+	// nearest ±π/2 are 6.1e-17 (-1.6e-16 one step past, where ·R/R
+	// rounds up at the track's pole).
+	r := cosD13 / math.Cos(xt)
 	if r > 1 {
 		r = 1
 	} else if r < -1 {

@@ -102,11 +102,7 @@ func (f TangentFrame) ToLocal(p LatLon) Point2 {
 	b13 := Deg2Rad(InitialBearing(f.Origin, p))
 	b12 := Deg2Rad(f.BearingDeg)
 	xt := math.Asin(math.Sin(d13)*math.Sin(b13-b12)) * EarthMeanRadius
-	cosXT := math.Cos(xt / EarthMeanRadius)
-	if cosXT == 0 {
-		return Point2{X: xt}
-	}
-	r := math.Cos(d13) / cosXT
+	r := math.Cos(d13) / math.Cos(xt/EarthMeanRadius) // cos xt != 0: see AlongTrackDistance
 	if r > 1 {
 		r = 1
 	} else if r < -1 {

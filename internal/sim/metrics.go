@@ -72,6 +72,9 @@ type simMetrics struct {
 	recaptureSuppressed *obs.Counter
 	crosslinkBytes      *obs.Counter
 	candidates          [numQueries]*obs.Counter
+	// epochBuilds counts the moving-set index's epoch builds; the runner
+	// adds the index's totals after every Advance.
+	epochBuilds *obs.Counter
 
 	// Fault-event counters (deterministic; Config.Events is part of the
 	// scenario).
@@ -94,6 +97,9 @@ type simMetrics struct {
 	// queries plus a histogram of span durations.
 	stageNS   [numStages]*obs.Counter
 	stageHist [numStages]*obs.Histogram
+	// Epoch-build wall time, wherever the builds ran, and the part of it
+	// queries spent blocked on a build.
+	epochBuildNS, epochBlockedNS *obs.Counter
 
 	// Run-level gauges.
 	progress        *obs.Gauge
@@ -126,6 +132,9 @@ func newSimMetrics(r *obs.Registry) *simMetrics {
 		missedDeadlines:     r.Counter("eagleeye_missed_deadlines_total", "Frames whose compute plus scheduling exceeded the frame cadence (wall-clock dependent)."),
 		schedFallbacks:      r.Counter("eagleeye_sched_fallbacks_total", "Schedules produced by the greedy fallback after the ILP stopped without an incumbent."),
 		clusterFallbacks:    r.Counter("eagleeye_cluster_fallbacks_total", "Frames whose cover fell back from the set-cover ILP to the greedy cover (too many candidates, or the solve failed)."),
+		epochBuilds:         r.Counter("eagleeye_index_epoch_builds_total", "Hourly epochs the moving-target index built."),
+		epochBuildNS:        r.Counter("eagleeye_index_epoch_build_nanoseconds_total", "Wall time spent building moving-target index epochs, in nanoseconds, on the frame loops or the prefetch goroutine."),
+		epochBlockedNS:      r.Counter("eagleeye_index_epoch_blocked_nanoseconds_total", "Wall time target-index queries spent blocked on an epoch build, in nanoseconds: building it themselves or waiting for the prefetch."),
 		progress:            r.Gauge("eagleeye_sim_progress", "Simulated-time fraction completed by the furthest-ahead job, 0 to 1."),
 		targetsTotal:        r.Gauge("eagleeye_targets_total", "Targets in the workload."),
 		targetsSeen:         r.Gauge("eagleeye_targets_seen", "Distinct targets seen in low-resolution frames (set at end of run)."),

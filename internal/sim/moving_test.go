@@ -6,12 +6,15 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"eagleeye/internal/constellation"
 	"eagleeye/internal/dataset"
 	"eagleeye/internal/geo"
+	"eagleeye/internal/obs"
 )
 
 // movingWorld is an airplanes-shaped moving set around smallWorld's
@@ -185,6 +188,67 @@ func TestMovingWorldRestoreMatchesUninterrupted(t *testing.T) {
 		if recs := byFrame(decodeTrace(t, bytes.NewBufferString(pre.String()+post.String()))); !reflect.DeepEqual(refRecs, recs) {
 			t.Errorf("cut %v: stitched trace diverges: %d vs %d records", cutS, len(refRecs), len(recs))
 		}
+	}
+}
+
+// TestRunnerPrefetchHorizon pins when Advance prefetches an index epoch:
+// at each hour boundary strictly before the configured duration, so a
+// 1 h run prefetches nothing and a 3 h run prefetches epochs 1 and 2,
+// and windowed runs build and prefetch what the one-shot run does. The
+// registry's build count matches the index's. Close waits for a build
+// still in flight, and no goroutine outlives Close or a one-shot Run.
+func TestRunnerPrefetchHorizon(t *testing.T) {
+	base := runtime.NumGoroutine()
+	stats := func(cfg Config, bounds ...float64) dataset.EpochStats {
+		t.Helper()
+		reg := obs.NewRegistry()
+		cfg.Metrics = reg
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bounds {
+			advance(t, r, b)
+		}
+		r.Close()
+		st := r.index.EpochStats()
+		if got := reg.CounterValue("eagleeye_index_epoch_builds_total"); got != st.Builds {
+			t.Errorf("builds counter %d, index built %d", got, st.Builds)
+		}
+		return st
+	}
+	hour := movingCfg()
+	hour.DurationS = 3600
+	if st := stats(hour, 3600); st.Builds != 1 || st.Prefetches != 0 {
+		t.Errorf("1 h run: %+v, want 1 build and no prefetch", st)
+	}
+	cfg := movingCfg()
+	one := stats(cfg, cfg.DurationS)
+	if one.Builds != 3 || one.Prefetches != 2 {
+		t.Errorf("3 h run: %+v, want 3 builds, 2 of them prefetched", one)
+	}
+	for _, bounds := range [][]float64{
+		{500, 1300, 1300, 1900, 3001.5, 4500, 6100, 8000, 1e9},
+		{3600, 7200, 10800},
+		{3599.5, 3600.5, 7199.5, 7200.5, 1e9},
+	} {
+		if win := stats(cfg, bounds...); win.Builds != one.Builds || win.Prefetches != one.Prefetches {
+			t.Errorf("windows %v: %+v, one-shot %+v", bounds, win, one)
+		}
+	}
+	// Just past the first boundary the build of epoch 2 has only begun;
+	// Close must not return before it ends.
+	if st := stats(cfg, 3601); st.Builds != 3 || st.Prefetches != 2 {
+		t.Errorf("closed at 3601 s: %+v, want the prefetched epoch 2 built", st)
+	}
+	run(t, cfg)
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > base; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Errorf("%d goroutines after Close and Run, %d before", n, base)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eagleeye/internal/constellation"
+	"eagleeye/internal/dataset"
 	"eagleeye/internal/obs"
 )
 
@@ -87,34 +88,45 @@ func TestMetricsMatchResult(t *testing.T) {
 	}
 }
 
+// TestMetricsWorkerDeterminism runs a static and a moving world at
+// Workers 1 and 4: every deterministic counter, the index candidates and
+// the moving world's epoch builds, which a helper goroutine may run,
+// must total the same.
 func TestMetricsWorkerDeterminism(t *testing.T) {
-	w := polarWorld(1500, 11)
-	runWith := func(workers int) *obs.Registry {
-		reg := obs.NewRegistry()
-		run(t, Config{
-			Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
-			App:           w, DurationS: 3 * 3600, Seed: 9,
-			Workers: workers, Metrics: reg,
+	for _, w := range []*dataset.Set{polarWorld(1500, 11), movingWorld(12000, 57, 3*3600)} {
+		t.Run(w.Name, func(t *testing.T) {
+			runWith := func(workers int) *obs.Registry {
+				reg := obs.NewRegistry()
+				run(t, Config{
+					Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 8},
+					App:           w, DurationS: 3 * 3600, Seed: 9,
+					Workers: workers, Metrics: reg,
+				})
+				return reg
+			}
+			r1 := runWith(1)
+			r4 := runWith(4)
+			for _, name := range deterministicCounters {
+				v1, v4 := r1.CounterValue(name), r4.CounterValue(name)
+				if v1 != v4 {
+					t.Errorf("%s: Workers=1 total %d != Workers=4 total %d", name, v1, v4)
+				}
+				if v1 == 0 && name != "eagleeye_recapture_suppressed_total" {
+					t.Errorf("%s: zero on an active run", name)
+				}
+			}
+			for _, q := range queryNames {
+				lbl := obs.Label{Key: "query", Value: q}
+				v1, v4 := r1.CounterValue("eagleeye_index_candidates_total", lbl), r4.CounterValue("eagleeye_index_candidates_total", lbl)
+				if v1 != v4 || v1 == 0 {
+					t.Errorf("index candidates{query=%s}: Workers=1 total %d, Workers=4 total %d, want equal and nonzero", q, v1, v4)
+				}
+			}
+			const builds = "eagleeye_index_epoch_builds_total"
+			if v1, v4 := r1.CounterValue(builds), r4.CounterValue(builds); v1 != v4 || (v1 == 0) == w.Moving {
+				t.Errorf("%s: Workers=1 total %d, Workers=4 total %d, want equal and nonzero exactly on a moving world", builds, v1, v4)
+			}
 		})
-		return reg
-	}
-	r1 := runWith(1)
-	r4 := runWith(4)
-	for _, name := range deterministicCounters {
-		v1, v4 := r1.CounterValue(name), r4.CounterValue(name)
-		if v1 != v4 {
-			t.Errorf("%s: Workers=1 total %d != Workers=4 total %d", name, v1, v4)
-		}
-		if v1 == 0 && name != "eagleeye_recapture_suppressed_total" {
-			t.Errorf("%s: zero on an active run", name)
-		}
-	}
-	for _, q := range queryNames {
-		lbl := obs.Label{Key: "query", Value: q}
-		v1, v4 := r1.CounterValue("eagleeye_index_candidates_total", lbl), r4.CounterValue("eagleeye_index_candidates_total", lbl)
-		if v1 != v4 || v1 == 0 {
-			t.Errorf("index candidates{query=%s}: Workers=1 total %d, Workers=4 total %d, want equal and nonzero", q, v1, v4)
-		}
 	}
 }
 

@@ -35,6 +35,9 @@ type Runner struct {
 	hashed bool
 	failed error
 	closed bool
+	// indexSeen is the index's epoch-build totals already added to the
+	// registry.
+	indexSeen dataset.EpochStats
 }
 
 // simJob is one persistent unit of parallel work: a leader group or a
@@ -144,8 +147,9 @@ func (r *Runner) scenarioDigest() uint64 {
 	return r.digest
 }
 
-// hourS is the span Advance runs between index retirements: one epoch of
-// the moving-set index, which the runner builds with 600 s buckets.
+// hourS is the span Advance runs between index retirements and
+// prefetches: one epoch of the moving-set index, which the runner builds
+// with 600 s buckets.
 const hourS = 3600.0
 
 // Now returns the simulated time the runner has advanced to.
@@ -179,7 +183,10 @@ func (r *Runner) workerCount() int {
 // the current position is a no-op. The jobs run hour by hour (a job that
 // fails skips the later hours), and the index retires its epochs behind
 // each hour, so a long one-shot Advance holds no more index state than a
-// windowed run. On a job error the simulation is poisoned (every later
+// windowed run. While an hour's frames run, a helper goroutine builds the
+// next hour's epoch, if the run has frames in that hour (it starts before
+// the configured duration), so epoch builds stay off the frame loops'
+// path. On a job error the simulation is poisoned (every later
 // call returns the same error), but completed jobs' staged trace records
 // -- and the failing job's prefix -- are still written, so an aborted
 // long run keeps its trace.
@@ -200,6 +207,9 @@ func (r *Runner) Advance(untilS float64) error {
 		errs := make([]error, len(r.jobs))
 		for from := r.nowS; from < untilS; {
 			to := (math.Floor(from/hourS) + 1) * hourS
+			if to < r.cfg.DurationS {
+				r.index.Prefetch(to)
+			}
 			if !(to > from && to < untilS) {
 				to = untilS
 			}
@@ -214,6 +224,13 @@ func (r *Runner) Advance(untilS float64) error {
 			from = to
 		}
 		r.nowS = untilS
+		if r.Done() {
+			// Every prefetched epoch starts before the end, where frames
+			// wait for it, so this returns at once unless no frame reached
+			// one; it keeps the build totals complete at the end of a run.
+			r.index.Wait()
+		}
+		r.reportIndex()
 		r.drainTraces()
 		// First error in job order, not completion order, so parallel
 		// runs report the same error as sequential ones.
@@ -230,6 +247,19 @@ func (r *Runner) Advance(untilS float64) error {
 		return err
 	}
 	return nil
+}
+
+// reportIndex adds the index's epoch-build totals since the last report
+// to the registry.
+func (r *Runner) reportIndex() {
+	if r.sm == nil {
+		return
+	}
+	st := r.index.EpochStats()
+	r.sm.epochBuilds.Add(st.Builds - r.indexSeen.Builds)
+	r.sm.epochBuildNS.Add(st.BuildNS - r.indexSeen.BuildNS)
+	r.sm.epochBlockedNS.Add(st.BlockedNS - r.indexSeen.BlockedNS)
+	r.indexSeen = st
 }
 
 // drainTraces writes the jobs' staged records in job order, flushing at
@@ -293,13 +323,16 @@ func (r *Runner) Result() (*Result, error) {
 	return res, nil
 }
 
-// Close releases pooled solver state. It is idempotent; the runner is
-// unusable afterwards.
+// Close releases pooled solver state. It waits for an epoch build still
+// running on the helper goroutine and adds it to the registry. It is
+// idempotent; the runner is unusable afterwards.
 func (r *Runner) Close() {
 	if r.closed {
 		return
 	}
 	r.closed = true
+	r.index.Wait()
+	r.reportIndex()
 	for _, j := range r.jobs {
 		j.close()
 	}

@@ -123,7 +123,12 @@ type Config struct {
 	// folds them in group order, so the Result and trace are identical
 	// for any worker count at a fixed seed (timing-derived fields --
 	// scheduler wall clock and deadline misses -- excepted). A custom
-	// Scheduler must be safe for concurrent use when Workers != 1.
+	// Scheduler must be safe for concurrent use when Workers != 1. A run
+	// on a moving set that advances past an hour boundary also uses one
+	// helper goroutine beyond Workers, which builds the next hour's index
+	// epoch while this hour's frames run (see Runner.Advance). Builds run
+	// outside the index's lock, so one group's build does not hold up the
+	// other groups' queries.
 	Workers int
 }
 
