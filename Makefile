@@ -28,13 +28,15 @@ tier1: build vet race
 # order, keys, concurrent first touch, prefetched builds racing sweeps and
 # Retire, ten times over), its sweeps keep no target past the
 # extrapolation bound, and every query walks each row of its band once;
-# the runner prefetches only epochs its frames reach, and the moving-world
-# runs match their golden. Destination, ToLocal, the actuation bisection
-# and the detector RNG match their oracles bit for bit, and the generated
-# worlds their golden hashes. Create bodies, checkpoints, simulator
-# snapshots, one-shot spans and eeinspect's inputs stay within their
-# bounds (the one-shot memory test skips under the race detector;
-# longhorizon-smoke runs it).
+# the runner prefetches only epochs its frames reach, the frame-query
+# lookahead leaves results, traces and candidate totals unchanged (ten
+# times over), and the moving-world runs match their golden.
+# Destination, ToLocal, the actuation bisection and the detector RNG
+# match their oracles bit for bit, and the generated worlds their golden
+# hashes. Create bodies, checkpoints, simulator snapshots, step bodies,
+# one-shot spans and eeinspect's inputs stay within their bounds (the
+# one-shot memory test skips under the race detector; longhorizon-smoke
+# runs it).
 # Each name is a -run pattern; one that matches no test in the packages
 # fails the target, so a rename cannot silently shrink the gate.
 race-contracts:
@@ -48,12 +50,12 @@ race-contracts:
 		TestTimedIndexCourseKeys TestTimedIndexConcurrentOutside \
 		TestTimedIndexConcurrentFirstTouch TestTimedIndexKeysFewTargets \
 		TestPoleCourseKeysTopRow TestNearVisitsEachRowOnce TestTimedIndexSweepTight \
-		TestTimedIndexPrefetch TestRunnerPrefetchHorizon FuzzIngest \
+		TestTimedIndexPrefetch TestRunnerPrefetchHorizon TestFrameLookaheadIdentity FuzzIngest \
 		TestFilterInFramePrefilterSound TestExecutePrefilterSound \
 		TestDestinationBitIdentical TestToLocalBitIdentical TestActuationTimeBisectionBitIdentical \
 		TestFrameSourceDifferential TestFrameSourceGeneratesOnlyWordsRead \
 		FuzzFrameSourceDifferential TestDatasetGolden TestAdmissionStress \
-		FuzzRestoreSession FuzzRestoreRunner FuzzCreateBody TestCreateBoundsTargetSpeed \
+		FuzzRestoreSession FuzzRestoreRunner FuzzCreateBody FuzzStepBody TestCreateBoundsTargetSpeed \
 		TestSessionRejectsBadCourses TestOneShotMemoryBounded"; \
 	listed=$$($(GO) test -list . $$pkgs) || { echo "$$listed"; exit 1; }; \
 	for n in $$names; do \
@@ -62,6 +64,7 @@ race-contracts:
 	done; \
 	$(GO) test -race -count=1 -run "$$(echo $$names | tr ' ' '|')" $$pkgs
 	$(GO) test -race -count=10 -run '^TestTimedIndexPrefetch$$' ./internal/dataset
+	$(GO) test -race -count=10 -run '^TestFrameLookaheadIdentity$$' ./internal/sim
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -203,9 +203,14 @@ type Config struct {
 	Flight *FlightRecorder `json:"-"`
 	// Workers runs independent constellation groups (or strip satellites)
 	// on this many goroutines: 0 means all CPUs, 1 sequential. Results
-	// and traces are deterministic for any value at a fixed seed. A
-	// moving world (airplanes) also builds the next hour's target index
-	// on one helper goroutine while this hour's frames run.
+	// and traces are deterministic for any value at a fixed seed. Up to
+	// two helper goroutines run beyond Workers: a moving world
+	// (airplanes) builds the next hour's target index on one while this
+	// hour's frames run, and leader-follower and mix-camera runs compute
+	// the leaders' frame queries ahead of the frame loops on the other.
+	// The second starts only for two or more groups, run fewer at a time
+	// than the process has CPUs (GOMAXPROCS): never on one CPU, nor at
+	// Workers 0 with at least as many groups as CPUs.
 	Workers int
 }
 

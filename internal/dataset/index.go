@@ -963,3 +963,15 @@ func (tx *TimedIndex) Retire(ts float64) {
 
 // Set returns the underlying target set.
 func (tx *TimedIndex) Set() *Set { return tx.set }
+
+// Release drops the index's storage -- a static set's index, a moving
+// set's courses, live spans and epochs -- for an owner that is done with
+// it; the index is unusable afterwards. It must not run concurrently with
+// queries or with a build Prefetch started (Wait first).
+func (tx *TimedIndex) Release() {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	tx.static = nil
+	tx.tracks, tx.spans, tx.polar, tx.edges = nil, nil, nil, cellEdges{}
+	tx.epochs, tx.spare, tx.places = nil, nil, nil
+}

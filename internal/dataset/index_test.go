@@ -630,3 +630,30 @@ func TestTimedIndexSweepTight(t *testing.T) {
 		t.Fatal("no target within the radius: the sweep is not exercised")
 	}
 }
+
+// TestTimedIndexRelease: after Wait, Release drops every epoch (the
+// spare a Retire kept among them), the build scratch, and the courses
+// and live spans, and a static set's index.
+func TestTimedIndexRelease(t *testing.T) {
+	tx := NewTimedIndex(Airplanes(2), 2, 600)
+	p := geo.LatLon{Lat: 40, Lon: -95}
+	tx.Near(p, 300e3, 100)
+	tx.Prefetch(3600)
+	tx.Prefetch(7200)
+	tx.Wait()
+	tx.Retire(3600)
+	if len(tx.epochs) == 0 || tx.spare == nil || tx.tracks == nil {
+		t.Fatalf("nothing to release: %d epochs, spare %v, %d tracks", len(tx.epochs), tx.spare != nil, len(tx.tracks))
+	}
+	tx.Release()
+	if tx.epochs != nil || tx.spare != nil || tx.places != nil || tx.tracks != nil || tx.spans != nil || tx.polar != nil {
+		t.Errorf("Release kept storage: %d epochs, spare %v, %d places, %d tracks, %d spans, %d polar",
+			len(tx.epochs), tx.spare != nil, len(tx.places), len(tx.tracks), len(tx.spans), len(tx.polar))
+	}
+	static := NewTimedIndex(Ships(1), 2, 600)
+	static.Near(p, 300e3, 0)
+	static.Release()
+	if static.static != nil {
+		t.Error("Release kept the static index")
+	}
+}

@@ -306,6 +306,51 @@ func FuzzCreateBody(f *testing.F) {
 	})
 }
 
+// FuzzStepBody: any step body gets a 2xx or a 4xx, never a panic or a
+// hang, and a continuous session never advances past its duration or
+// eagleeye.MaxDurationHours. Each input steps a fresh 15-minute session.
+// The seeds: an empty object and zero hours (both step to the end), a
+// negative span, one past the bound, 1e308, a number JSON cannot hold, an
+// unknown field, truncated JSON, and a value that runs past maxBodyBytes.
+func FuzzStepBody(f *testing.F) {
+	for _, body := range []string{
+		`{}`, `{"hours":0}`, `{"hours":-1}`, `{"hours":8761}`, `{"hours":1e308}`,
+		`{"hours":1e999}`, `{"hours":0.1,"minutes":5}`, `{"hours":0.`,
+		`{"hours":` + strings.Repeat(" ", maxBodyBytes) + `0.1}`,
+	} {
+		f.Add(body)
+	}
+	s := New(Config{})
+	defer s.Shutdown(0)
+	h := s.Handler()
+	create, err := json.Marshal(ScenarioConfig{Dataset: "ships", Satellites: 2, DurationHours: 0.25, Seed: 3, Continuous: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(string(create))))
+		var info SessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); rec.Code != http.StatusCreated || err != nil {
+			t.Fatalf("create = %d: %s", rec.Code, rec.Body)
+		}
+		defer s.deleteSession(info.ID)
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions/"+info.ID+"/step", strings.NewReader(body)))
+		if rec.Code < 200 || rec.Code > 499 || (rec.Code > 299 && rec.Code < 400) {
+			t.Fatalf("step %.80q = %d, want 2xx or 4xx: %s", body, rec.Code, rec.Body)
+		}
+		e := s.lookup(info.ID)
+		if e == nil {
+			t.Fatalf("session %q left the table", info.ID)
+		}
+		cfg := e.sess.Config()
+		if got := e.sess.SimulatedHours(); got > cfg.DurationHours || got > eagleeye.MaxDurationHours {
+			t.Fatalf("step %.80q advanced the session to %v h of %v", body, got, cfg.DurationHours)
+		}
+	})
+}
+
 // TestStepAccumulatesAggregate pins the windowed-session semantics.
 func TestStepAccumulatesAggregate(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -43,9 +43,9 @@ type groupJob struct {
 	env      sched.Env
 	// pipe runs every leader frame on the 1x1 plan: one detect, cluster
 	// and schedule pass over the whole frame, the paper's leader pipeline.
-	pipe     *core.ShardedPipeline
-	w, h, qr float64
-	swath    float64 // executing camera's high-res swath
+	pipe  *core.ShardedPipeline
+	fp    footprint // the leader's low-res frame
+	swath float64   // executing camera's high-res swath
 
 	// frame is the tangent frame of the frame in flight, read by the
 	// recapture hook; recap counts the detections the hook suppressed in
@@ -58,7 +58,9 @@ type groupJob struct {
 	lead *orbit.Stepper
 	// leadFresh marks a re-election frame: the replacement stepper is
 	// anchored at the current boundary and must not be advanced into it.
-	leadFresh     bool
+	leadFresh bool
+	// ahead is the span's frame-query lookahead (see lookahead.go).
+	ahead         spanSlots
 	schedSteppers []*orbit.Stepper
 	alive         []bool
 	aliveCount    int
@@ -110,8 +112,7 @@ func newGroupJob(st *runState, gi int, grp constellation.Group, events []Event) 
 	}
 	j.pipe = newFramePipeline(j)
 
-	j.w = leader.LowRes.SwathM
-	j.h = leader.LowRes.FootprintAlongM()
+	w, h := leader.LowRes.SwathM, leader.LowRes.FootprintAlongM()
 	// Incremental propagation: one stepper tracks the leader at frame
 	// cadence; schedule-time steppers track the leader (mix) or each
 	// follower offset by the compute delay, advancing in lockstep.
@@ -130,11 +131,18 @@ func newGroupJob(st *runState, gi int, grp constellation.Group, events []Event) 
 	}
 	j.aliveCount = len(j.alive)
 	j.activeSlots = make([]int, 0, len(j.alive))
-	// The candidate probe runs around the raw sub-point (before the h/2
-	// frame-center offset), so its radius is inflated by that offset:
-	// every target inside the frame disk is inside the probe disk, making
-	// the empty-frame fast path a pure superset check.
-	j.qr = frameRadius(j.w, j.h) + j.h/2
+	// A frame captured at ts covers the swath ahead of the leader's nadir
+	// (Fig. 9): the leader overflies the imaged area during the ~13.7 s it
+	// spends computing, which is why the separation equals the swath
+	// width -- a follower 100 km back is still behind the frame area when
+	// the schedule arrives, whatever the compute latency, while a
+	// mix-camera satellite has flown into its own frame and must look
+	// backward at targets whose windows are closing. The candidate probe
+	// runs around the raw sub-point (before the h/2 frame-center offset),
+	// so its radius is inflated by that offset: every target inside the
+	// frame disk is inside the probe disk, making the empty-frame fast
+	// path a pure superset check.
+	j.fp = footprint{w: w, h: h, qr: frameRadius(w, h) + h/2, ahead: h / 2}
 	j.events = events
 	return j
 }
@@ -234,6 +242,7 @@ func (j *groupJob) close() {
 		j.pipe.Close()
 		j.pipe = nil
 	}
+	j.ahead = spanSlots{}
 }
 
 // finalize: group jobs book all energy and comms per frame; nothing is
@@ -385,23 +394,9 @@ func (j *groupJob) run(untilS float64) error {
 		}
 		st.leaderB.Capture(1)
 		st.leaderB.Compute(j.computeS)
-		nadir := j.lead.SubPoint()
-		cands := st.candidatesNear(nadir, j.qr, ts, queryFrame)
-		if len(cands) == 0 {
-			continue
-		}
-		ls := j.lead.State()
-		// A frame captured at ts covers the swath ahead of the
-		// leader's nadir (Fig. 9): the leader overflies the imaged
-		// area during the ~13.7 s it spends computing, which is why
-		// the separation equals the swath width -- a follower 100 km
-		// back is still behind the frame area when the schedule
-		// arrives, whatever the compute latency, while a mix-camera
-		// satellite has flown into its own frame and must look
-		// backward at targets whose windows are closing.
-		center := geo.Destination(ls.SubPoint, ls.HeadingDeg, j.h/2)
-		frame := geo.TangentFrame{Origin: center, BearingDeg: ls.HeadingDeg}
-		idx, pts := st.filterInFrame(cands, nadir, j.qr, frame, j.w, j.h, ts)
+		fq := j.frameQuery(frameIdx-1, ts)
+		st.countCandidates(queryFrame, fq.cands)
+		frame, idx, pts := fq.frame, fq.idx, fq.pts
 		if len(idx) == 0 {
 			continue
 		}
@@ -441,7 +436,7 @@ func (j *groupJob) run(untilS float64) error {
 		}
 		cframe := core.Frame{
 			Truth:  pts,
-			Bounds: geo.NewRectCentered(geo.Point2{}, j.w, j.h),
+			Bounds: geo.NewRectCentered(geo.Point2{}, j.fp.w, j.fp.h),
 			GSDM:   j.leader.LowRes.GSDM,
 		}
 		j.frame = frame
@@ -546,6 +541,20 @@ func (j *groupJob) run(untilS float64) error {
 	return nil
 }
 
+// frameQuery returns frame k's query at ts: the lookahead helper's
+// result when it ran the query, else the query run inline on the loop's
+// scratch.
+func (j *groupJob) frameQuery(k int, ts float64) frameResult {
+	st := j.st
+	if s := j.ahead.slot(k); s != nil {
+		if fq, ok := s.take(st.met); ok {
+			return fq
+		}
+	}
+	st.q.idx, st.q.pts = st.q.idx[:0], st.q.pts[:0]
+	return st.q.frameQuery(&j.fp, j.lead, ts)
+}
+
 // recordFlight assembles the frame's span tree from the stage durations
 // the pipeline already measured (Template.Timed is on whenever a recorder
 // is attached) and offers it to the flight recorder. Stages are laid out at
@@ -604,7 +613,8 @@ func (j *groupJob) recordFlight(fb *obs.FrameBuilder, frameIdx int, ts float64, 
 func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres *core.Result) {
 	st := j.st
 	swath := j.swath
-	targets := st.index.Set().Targets
+	tx := st.q.index
+	targets := tx.Set().Targets
 	// A target inside a capture's footprint lies within frameRadius(swath,
 	// swath) of the aim point: Contains(ToLocal(p)) puts p's frame
 	// coordinates within hypot(swath, swath)/2 of the aim's, and frame
@@ -638,7 +648,7 @@ func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres 
 			aim := frame.ToGeodetic(c.Aim)
 			disk := dataset.NewCap(aim, reach)
 			for _, ci := range st.candidatesNear(aim, reach, absT, queryCapture) {
-				if !targets[ci].ActiveAt(absT) || st.index.Outside(ci, absT, &disk) {
+				if !targets[ci].ActiveAt(absT) || tx.Outside(ci, absT, &disk) {
 					continue
 				}
 				pos := targets[ci].PosAt(absT)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"eagleeye/internal/constellation"
-	"eagleeye/internal/geo"
 	"eagleeye/internal/orbit"
 )
 
@@ -20,8 +19,7 @@ type stripJob struct {
 	highRes bool
 	swath   float64
 	stepS   float64
-	stepLen float64
-	qr      float64
+	fp      footprint
 	stp     *orbit.Stepper
 
 	events     []Event
@@ -49,8 +47,7 @@ func newStripJob(st *runState, si int, sat *constellation.Satellite, events []Ev
 		highRes: highRes,
 		swath:   swath,
 		stepS:   stepS,
-		stepLen: stepLen,
-		qr:      frameRadius(swath, stepLen),
+		fp:      footprint{w: swath, h: stepLen, qr: frameRadius(swath, stepLen)},
 		stp:     sat.Prop.NewStepper(0, stepS),
 		events:  events,
 	}
@@ -110,16 +107,13 @@ func (j *stripJob) run(untilS float64) error {
 			jm.frames.Inc()
 		}
 		// Empty-frame fast path: most ocean/desert steps see no
-		// candidates, so probe the index around the cheap sub-point
-		// before computing the full state and tangent frame.
-		nadir := j.stp.SubPoint()
-		cands := st.candidatesNear(nadir, j.qr, ts, queryFrame)
-		if len(cands) == 0 {
-			continue
-		}
-		s := j.stp.State()
-		f := geo.TangentFrame{Origin: s.SubPoint, BearingDeg: s.HeadingDeg}
-		idx, _ := st.filterInFrame(cands, nadir, j.qr, f, j.swath, j.stepLen, ts)
+		// candidates, so the query probes the index around the cheap
+		// sub-point before computing the full state and tangent frame.
+		// Strip jobs get no lookahead: their loop is the query.
+		st.q.idx, st.q.pts = st.q.idx[:0], st.q.pts[:0]
+		fq := st.q.frameQuery(&j.fp, j.stp, ts)
+		st.countCandidates(queryFrame, fq.cands)
+		idx := fq.idx
 		if len(idx) == 0 {
 			continue
 		}

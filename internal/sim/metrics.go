@@ -100,6 +100,10 @@ type simMetrics struct {
 	// Epoch-build wall time, wherever the builds ran, and the part of it
 	// queries spent blocked on a build.
 	epochBuildNS, epochBlockedNS *obs.Counter
+	// Frame queries the lookahead helper ran, and the loops' time waiting
+	// for one it was running (timing-dependent: the helper's share varies
+	// from run to run).
+	framesAhead, queryWaitNS *obs.Counter
 
 	// Run-level gauges.
 	progress        *obs.Gauge
@@ -135,6 +139,8 @@ func newSimMetrics(r *obs.Registry) *simMetrics {
 		epochBuilds:         r.Counter("eagleeye_index_epoch_builds_total", "Hourly epochs the moving-target index built."),
 		epochBuildNS:        r.Counter("eagleeye_index_epoch_build_nanoseconds_total", "Wall time spent building moving-target index epochs, in nanoseconds, on the frame loops or the prefetch goroutine."),
 		epochBlockedNS:      r.Counter("eagleeye_index_epoch_blocked_nanoseconds_total", "Wall time target-index queries spent blocked on an epoch build, in nanoseconds: building it themselves or waiting for the prefetch."),
+		framesAhead:         r.Counter("eagleeye_frame_queries_ahead_total", "Leader frame queries the lookahead goroutine ran ahead of the frame loops (timing-dependent)."),
+		queryWaitNS:         r.Counter("eagleeye_frame_query_wait_nanoseconds_total", "Wall time frame loops spent waiting for a frame query the lookahead goroutine was running, in nanoseconds."),
 		progress:            r.Gauge("eagleeye_sim_progress", "Simulated-time fraction completed by the furthest-ahead job, 0 to 1."),
 		targetsTotal:        r.Gauge("eagleeye_targets_total", "Targets in the workload."),
 		targetsSeen:         r.Gauge("eagleeye_targets_seen", "Distinct targets seen in low-resolution frames (set at end of run)."),
@@ -178,6 +184,8 @@ type jobMetrics struct {
 	missedDeadlines     obs.CounterShard
 	schedFallbacks      obs.CounterShard
 	clusterFallbacks    obs.CounterShard
+	framesAhead         obs.CounterShard
+	queryWaitNS         obs.CounterShard
 
 	stageNS   [numStages]obs.CounterShard
 	stageHist [numStages]obs.HistogramShard
@@ -202,6 +210,8 @@ func (m *simMetrics) job(i int) *jobMetrics {
 		missedDeadlines:     m.missedDeadlines.Shard(i),
 		schedFallbacks:      m.schedFallbacks.Shard(i),
 		clusterFallbacks:    m.clusterFallbacks.Shard(i),
+		framesAhead:         m.framesAhead.Shard(i),
+		queryWaitNS:         m.queryWaitNS.Shard(i),
 	}
 	for q := queryID(0); q < numQueries; q++ {
 		jm.candidates[q] = m.candidates[q].Shard(i)

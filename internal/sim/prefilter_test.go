@@ -65,7 +65,7 @@ func TestFilterInFramePrefilterSound(t *testing.T) {
 		}
 	}
 	tx := dataset.NewTimedIndex(s, 2, 600)
-	st := &runState{index: tx}
+	q := &queryScratch{index: tx}
 	var sc dataset.OrderScratch
 	edge := 0
 	for fi, c := range cases {
@@ -93,7 +93,7 @@ func TestFilterInFramePrefilterSound(t *testing.T) {
 				wantPts = append(wantPts, lp)
 			}
 		}
-		idx, pts := st.filterInFrame(cands, c.f.Origin, maxD, c.f, c.w, c.h, c.ts)
+		idx, pts := q.filterInFrame(cands, c.f.Origin, maxD, c.f, c.w, c.h, c.ts)
 		order := tx.Order(wantIdx, c.f.Origin, maxD, c.ts, &sc)
 		if len(idx) != len(order) {
 			t.Fatalf("frame %d: filterInFrame kept %d targets, exact filter %d", fi, len(idx), len(order))

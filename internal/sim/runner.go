@@ -29,6 +29,7 @@ type Runner struct {
 	index  *dataset.TimedIndex
 	sm     *simMetrics
 	jobs   []simJob
+	ahead  lookahead
 	tw     *traceWriter
 	nowS   float64
 	digest uint64 // scenarioDigest's cache, valid once hashed is set
@@ -103,6 +104,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		sm:    sm,
 		tw:    newTraceWriter(cfg.Trace),
 	}
+	r.ahead.sc.index = r.index
 
 	newState := func(i int) *runState {
 		st := newRunState(cfg, cons, r.index)
@@ -186,10 +188,12 @@ func (r *Runner) workerCount() int {
 // windowed run. While an hour's frames run, a helper goroutine builds the
 // next hour's epoch, if the run has frames in that hour (it starts before
 // the configured duration), so epoch builds stay off the frame loops'
-// path. On a job error the simulation is poisoned (every later
-// call returns the same error), but completed jobs' staged trace records
-// -- and the failing job's prefix -- are still written, so an aborted
-// long run keeps its trace.
+// path, and another runs the group jobs' frame queries ahead of their
+// loops (see lookahead), joined before the hour's epochs retire. On a job
+// error the simulation is poisoned (every later call returns the same
+// error), but completed jobs' staged trace records -- and the failing
+// job's prefix -- are still written, so an aborted long run keeps its
+// trace.
 func (r *Runner) Advance(untilS float64) error {
 	if r.closed {
 		return fmt.Errorf("sim: runner is closed")
@@ -213,11 +217,7 @@ func (r *Runner) Advance(untilS float64) error {
 			if !(to > from && to < untilS) {
 				to = untilS
 			}
-			runParallel(r.workerCount(), len(r.jobs), func(i int) {
-				if errs[i] == nil {
-					errs[i] = r.jobs[i].run(to)
-				}
-			})
+			r.runSpan(to, errs)
 			// Every later frame, and every capture it schedules, is at or
 			// after to: index epochs that end by then are dead weight.
 			r.index.Retire(to)
@@ -247,6 +247,22 @@ func (r *Runner) Advance(untilS float64) error {
 		return err
 	}
 	return nil
+}
+
+// runSpan runs every job that has not failed to the span boundary to,
+// while the lookahead helper, when it starts, runs the group jobs' frame
+// queries ahead of them on a P the worker pool leaves idle. The helper is
+// joined before runSpan returns, so no query runs beside what follows.
+func (r *Runner) runSpan(to float64, errs []error) {
+	workers := r.workerCount()
+	if r.ahead.start(r.jobs, errs, to, workers) {
+		defer r.ahead.wait()
+	}
+	runParallel(workers, len(r.jobs), func(i int) {
+		if errs[i] == nil {
+			errs[i] = r.jobs[i].run(to)
+		}
+	})
 }
 
 // reportIndex adds the index's epoch-build totals since the last report
@@ -323,9 +339,12 @@ func (r *Runner) Result() (*Result, error) {
 	return res, nil
 }
 
-// Close releases pooled solver state. It waits for an epoch build still
-// running on the helper goroutine and adds it to the registry. It is
-// idempotent; the runner is unusable afterwards.
+// Close releases pooled solver state and the run's storage: the index's
+// courses and epochs, the jobs' coverage flags and query scratch, and
+// the lookahead's buffers, so nothing that still points at the runner
+// keeps them alive. It waits for an epoch build still running on the
+// helper goroutine and adds it to the registry. It is idempotent; the
+// runner is unusable afterwards, and every entry point refuses it.
 func (r *Runner) Close() {
 	if r.closed {
 		return
@@ -333,7 +352,10 @@ func (r *Runner) Close() {
 	r.closed = true
 	r.index.Wait()
 	r.reportIndex()
+	r.index.Release()
 	for _, j := range r.jobs {
 		j.close()
+		j.state().release()
 	}
+	r.ahead.sc, r.ahead.jobs = queryScratch{}, nil
 }

@@ -124,11 +124,17 @@ type Config struct {
 	// for any worker count at a fixed seed (timing-derived fields --
 	// scheduler wall clock and deadline misses -- excepted). A custom
 	// Scheduler must be safe for concurrent use when Workers != 1. A run
-	// on a moving set that advances past an hour boundary also uses one
-	// helper goroutine beyond Workers, which builds the next hour's index
-	// epoch while this hour's frames run (see Runner.Advance). Builds run
-	// outside the index's lock, so one group's build does not hold up the
-	// other groups' queries.
+	// uses up to two helper goroutines beyond Workers (see
+	// Runner.Advance): on a moving set that advances past an hour
+	// boundary, the epoch prefetch, which builds the next hour's index
+	// epoch while this hour's frames run (builds run outside the index's
+	// lock, so one group's build does not hold up the other groups'
+	// queries); and on group organizations, the frame-query lookahead,
+	// which runs the leaders' frame queries ahead of the frame loops.
+	// The lookahead starts only for a run of two or more groups whose
+	// worker pool (Workers, capped at the job count) is smaller than
+	// GOMAXPROCS, so it has a P to itself; it never starts when
+	// GOMAXPROCS is 1.
 	Workers int
 }
 
@@ -235,7 +241,6 @@ type runState struct {
 	cfg      Config
 	cons     *constellation.Constellation
 	res      *Result
-	index    *dataset.TimedIndex // shared; safe for concurrent readers
 	captured []bool
 	seen     []bool
 	leaderB  *energy.Budget
@@ -261,17 +266,27 @@ type runState struct {
 	fb *obs.FrameBuilder
 
 	// Frame-loop scratch, private to the job's goroutine and dead between
-	// frames. The buffers grow to the run's high-water mark and are then
-	// reused, which is what keeps the steady-state loop allocation-free;
-	// nothing downstream retains them (detect copies positions, schedules
-	// copy aim points).
-	scCands []int32
-	scKept  []int32
-	scInPts []geo.Point2
-	scIdx   []int32
-	scPts   []geo.Point2
-	scOrder dataset.OrderScratch
-	scFols  []sched.Follower
+	// frames: q (which also holds the job's only pointer to the shared
+	// index) for the frames the loop queries itself and for capture
+	// queries, scFols for the schedule's followers. The buffers grow to
+	// the run's high-water mark and are then reused, which is what keeps
+	// the steady-state loop allocation-free; nothing downstream retains
+	// them (detect copies positions, schedules copy aim points).
+	q      queryScratch
+	scFols []sched.Follower
+}
+
+// queryScratch is one goroutine's scratch for target-index queries: the
+// frame loop's, or the lookahead helper's (see lookahead). idx and pts
+// collect filterInFrame's survivors; their owner resets them.
+type queryScratch struct {
+	index *dataset.TimedIndex // shared; safe for concurrent readers
+	cands []int32
+	kept  []int32
+	inPts []geo.Point2
+	idx   []int32
+	pts   []geo.Point2
+	order dataset.OrderScratch
 }
 
 // newRunState allocates a private accumulator set for one job.
@@ -280,14 +295,21 @@ func newRunState(cfg Config, cons *constellation.Constellation, index *dataset.T
 		cfg:      cfg,
 		cons:     cons,
 		res:      &Result{},
-		index:    index,
 		captured: make([]bool, len(cfg.App.Targets)),
 		seen:     make([]bool, len(cfg.App.Targets)),
 		leaderB:  energy.NewBudget(energyParams(cfg)),
 		folB:     energy.NewBudget(energyParams(cfg)),
 		capCells: make(map[int64]bool),
 		traceOn:  cfg.Trace != nil,
+		q:        queryScratch{index: index},
 	}
+}
+
+// release drops the job's per-target flags and query scratch when its
+// runner closes.
+func (st *runState) release() {
+	st.captured, st.seen, st.capCells = nil, nil, nil
+	st.q = queryScratch{}
 }
 
 // mergeInto folds this job's private accumulators into dst. Callers
@@ -364,40 +386,52 @@ func frameRadius(w, h float64) float64 {
 	return math.Hypot(w, h)/2 + 5e3
 }
 
-// candidatesNear refills the candidate scratch with index entries near p:
-// for a moving set a superset in no bucket order (TimedIndex.NearInto),
-// which callers that only set flags use as it is. An empty result lets
-// the frame loop skip tangent-frame setup entirely. With metrics on, the
-// result's length counts toward query q's candidates.
+// candidatesNear refills the candidate scratch with index entries near p
+// (queryScratch.near) and, with metrics on, counts them toward query q's
+// candidates.
 func (st *runState) candidatesNear(p geo.LatLon, radiusM, ts float64, q queryID) []int32 {
-	st.scCands = st.index.NearInto(p, radiusM, ts, st.scCands[:0])
-	if st.met != nil {
-		st.met.candidates[q].Add(int64(len(st.scCands)))
-	}
-	return st.scCands
+	cands := st.q.near(p, radiusM, ts)
+	st.countCandidates(q, len(cands))
+	return cands
 }
 
-// filterInFrame reduces candidatesNear(p, radiusM, ts)'s result to
-// (targetIndex, local position) pairs for active targets inside the w x h
-// footprint of f, refilling the idx/pts scratch. They come in the order
-// the index's bucket-start walk lists them (TimedIndex.Order), since
-// detection draws its RNG per truth target in that order. Candidates
-// farther than frameRadius from the frame origin are rejected on
-// great-circle distance before the tangent-frame projection: any point
-// inside the rectangle lies within hypot(w,h)/2 of the center up to
-// curvature error (~1e-4 relative at frame scale), far inside the 5 km
-// margin, and ToLocal costs several times a distance. Moving targets are
-// first rejected by chord distance from their cached course
-// (TimedIndex.Outside), which never rejects a point within frameRadius,
-// before any exact position is computed.
-func (st *runState) filterInFrame(cands []int32, p geo.LatLon, radiusM float64, f geo.TangentFrame, w, h float64, ts float64) ([]int32, []geo.Point2) {
-	kept := st.scKept[:0]
-	inPts := st.scInPts[:0]
+// countCandidates adds n to query q's candidates when metrics are on.
+func (st *runState) countCandidates(q queryID, n int) {
+	if st.met != nil {
+		st.met.candidates[q].Add(int64(n))
+	}
+}
+
+// near refills the candidate scratch with index entries near p: for a
+// moving set a superset in no bucket order (TimedIndex.NearInto), which
+// callers that only set flags use as it is. An empty result lets a frame
+// query skip tangent-frame setup entirely.
+func (sc *queryScratch) near(p geo.LatLon, radiusM, ts float64) []int32 {
+	sc.cands = sc.index.NearInto(p, radiusM, ts, sc.cands[:0])
+	return sc.cands
+}
+
+// filterInFrame reduces near(p, radiusM, ts)'s result to (targetIndex,
+// local position) pairs for active targets inside the w x h footprint of
+// f, appends them to the idx/pts scratch, and returns what it appended.
+// They come in the order the index's bucket-start walk lists them
+// (TimedIndex.Order), since detection draws its RNG per truth target in
+// that order. Candidates farther than frameRadius from the frame origin
+// are rejected on great-circle distance before the tangent-frame
+// projection: any point inside the rectangle lies within hypot(w,h)/2 of
+// the center up to curvature error (~1e-4 relative at frame scale), far
+// inside the 5 km margin, and ToLocal costs several times a distance.
+// Moving targets are first rejected by chord distance from their cached
+// course (TimedIndex.Outside), which never rejects a point within
+// frameRadius, before any exact position is computed.
+func (sc *queryScratch) filterInFrame(cands []int32, p geo.LatLon, radiusM float64, f geo.TangentFrame, w, h float64, ts float64) ([]int32, []geo.Point2) {
+	kept := sc.kept[:0]
+	inPts := sc.inPts[:0]
 	maxD := frameRadius(w, h)
 	disk := dataset.NewCap(f.Origin, maxD)
-	targets := st.index.Set().Targets
+	targets := sc.index.Set().Targets
 	for _, ci := range cands {
-		if !targets[ci].ActiveAt(ts) || st.index.Outside(ci, ts, &disk) {
+		if !targets[ci].ActiveAt(ts) || sc.index.Outside(ci, ts, &disk) {
 			continue
 		}
 		pos := targets[ci].PosAt(ts)
@@ -410,15 +444,15 @@ func (st *runState) filterInFrame(cands []int32, p geo.LatLon, radiusM float64, 
 			inPts = append(inPts, lp)
 		}
 	}
-	st.scKept, st.scInPts = kept, inPts
-	idx := st.scIdx[:0]
-	pts := st.scPts[:0]
-	for _, k := range st.index.Order(kept, p, radiusM, ts, &st.scOrder) {
+	sc.kept, sc.inPts = kept, inPts
+	n := len(sc.idx)
+	idx, pts := sc.idx, sc.pts
+	for _, k := range sc.index.Order(kept, p, radiusM, ts, &sc.order) {
 		idx = append(idx, kept[k])
 		pts = append(pts, inPts[k])
 	}
-	st.scIdx, st.scPts = idx, pts
-	return idx, pts
+	sc.idx, sc.pts = idx, pts
+	return idx[n:len(idx):len(idx)], pts[n:len(pts):len(pts)]
 }
 
 func highResSwath(grp constellation.Group, leader *constellation.Satellite) float64 {
