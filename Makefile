@@ -30,10 +30,12 @@ tier1: build vet race
 # extrapolation bound, and every query walks each row of its band once;
 # the runner prefetches only epochs its frames reach, the frame-query
 # lookahead leaves results, traces and candidate totals unchanged (ten
-# times over), and the moving-world runs match their golden.
-# Destination, ToLocal, the actuation bisection and the detector RNG
-# match their oracles bit for bit, and the generated worlds their golden
-# hashes. Create bodies, checkpoints, simulator snapshots, step bodies,
+# times over, through a leader re-election at the first frame), a
+# re-elected leader stands at the group's frame time, and the moving-world
+# runs match their golden. Destination, ToLocal, the actuation bisection,
+# the windowed arrival and the detector RNG match their oracles bit for
+# bit, and the generated worlds and strip snapshots their golden hashes.
+# Create bodies, checkpoints, simulator snapshots, step bodies,
 # one-shot spans and eeinspect's inputs stay within their bounds (the
 # one-shot memory test skips under the race detector; longhorizon-smoke
 # runs it).
@@ -53,6 +55,7 @@ race-contracts:
 		TestTimedIndexPrefetch TestRunnerPrefetchHorizon TestFrameLookaheadIdentity FuzzIngest \
 		TestFilterInFramePrefilterSound TestExecutePrefilterSound \
 		TestDestinationBitIdentical TestToLocalBitIdentical TestActuationTimeBisectionBitIdentical \
+		TestArrivalBitIdentical FuzzArrivalDifferential TestLeaderFailAtStart TestSnapshotBytesGolden \
 		TestFrameSourceDifferential TestFrameSourceGeneratesOnlyWordsRead \
 		FuzzFrameSourceDifferential TestDatasetGolden TestAdmissionStress \
 		FuzzRestoreSession FuzzRestoreRunner FuzzCreateBody FuzzStepBody TestCreateBoundsTargetSpeed \

@@ -109,23 +109,74 @@ func PointingAngleDeg(sub1, p1, sub2, p2 geo.Point2, altM float64) float64 {
 // rate of the satellite's own motion, so a root exists and is unique for
 // practical geometries).
 func ActuationTimeS(m SlewModel, sub1, p1, p2 geo.Point2, groundSpeedMS, altM float64) float64 {
+	dt, _ := actuation(m, sub1, p1, p2, groundSpeedMS, altM, 0, math.Inf(-1), math.Inf(1))
+	return dt
+}
+
+// ArrivalS is Eq. 1 as the schedulers use it: the earliest time inside
+// the imaging window [w0, w1] at which the satellite, pointing at p1 at
+// time t with its sub-point at sub1, can point at p2 -- t+ActuationTimeS
+// clamped up to w0 -- and false when that time is past w1. It returns
+// exactly what that clamp returns, bit for bit, but stops the bisection
+// as soon as the window decides the answer.
+func ArrivalS(m SlewModel, sub1, p1, p2 geo.Point2, groundSpeedMS, altM, t, w0, w1 float64) (float64, bool) {
+	dt, cut := actuation(m, sub1, p1, p2, groundSpeedMS, altM, t, w0, w1)
+	if cut == cutPastW1 {
+		return 0, false
+	}
+	arr := t + dt
+	if cut == cutAtW0 || arr < w0 {
+		arr = w0
+	}
+	if arr > w1 {
+		return 0, false
+	}
+	return arr, true
+}
+
+// Early stops of actuation's bisection.
+const (
+	cutNone   = iota // dt is the solve's answer
+	cutAtW0          // the arrival t+dt is below w0
+	cutPastW1        // the arrival t+dt is past w1
+)
+
+// actuation is the one Eq. 1 bisection, shared by ActuationTimeS (an
+// unbounded window) and ArrivalS. For an arrival at t+dt inside [w0, w1]
+// it stops at cutAtW0 once t+hi < w0 and at cutPastW1 once t+lo > w1.
+// Both stops leave the answer unchanged: inside the bracket [0, 1e4] the
+// midpoints neither overflow nor leave it, so hi only shrinks, lo only
+// grows, the final hi stays between them, and float addition is
+// monotone, so t+lo <= t+final <= t+hi. The stop at w0 is strict: where
+// t+final equals w0 the clamp keeps t+final, which may be the zero of the
+// other sign.
+func actuation(m SlewModel, sub1, p1, p2 geo.Point2, groundSpeedMS, altM, t, w0, w1 float64) (float64, int) {
 	need := func(dt float64) float64 {
 		sub2 := geo.Point2{X: sub1.X, Y: sub1.Y + groundSpeedMS*dt}
 		return PointingAngleDeg(sub1, p1, sub2, p2, altM)
 	}
 	// If already pointing at the target, no actuation is needed.
 	if need(0) < 1e-9 {
-		return 0
+		return 0, cutNone
 	}
 	// Find an upper bound where MaxAng(dt) >= need(dt).
 	lo, hi := 0.0, m.OverheadS+need(0)/m.RateDegS
 	for i := 0; i < 60 && m.MaxAngDeg(hi) < need(hi); i++ {
 		hi *= 2
 		if hi > 1e4 {
-			return math.Inf(1) // unreachable within any practical horizon
+			return math.Inf(1), cutNone // unreachable within any practical horizon
 		}
 	}
+	bounded := 0 <= hi && hi <= 1e4
 	for i := 0; i < 80; i++ {
+		if bounded {
+			if t+hi < w0 {
+				return hi, cutAtW0
+			}
+			if t+lo > w1 {
+				return hi, cutPastW1
+			}
+		}
 		mid := (lo + hi) / 2
 		// Once the midpoint rounds to an end of the bracket, this step
 		// leaves a bracket whose midpoint is that same end, so every later
@@ -140,7 +191,7 @@ func ActuationTimeS(m SlewModel, sub1, p1, p2 geo.Point2, groundSpeedMS, altM fl
 			break
 		}
 	}
-	return hi
+	return hi, cutNone
 }
 
 // TimeWindow solves the paper's Eq. 2: the interval of times [t0, t1]

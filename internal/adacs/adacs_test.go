@@ -1,6 +1,7 @@
 package adacs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -218,6 +219,129 @@ func TestActuationTimeBisectionBitIdentical(t *testing.T) {
 	if zero == 0 || inf == 0 {
 		t.Errorf("%d zero and %d unreachable cases: the edges are not exercised", zero, inf)
 	}
+}
+
+// clampArrival is the arrival the schedulers computed before ArrivalS,
+// kept as its oracle: the unbounded Eq. 1 solve from t, clamped up to w0
+// and rejected past w1.
+func clampArrival(m SlewModel, sub1, p1, p2 geo.Point2, v, alt, t, w0, w1 float64) (float64, bool) {
+	arr := t + actuationTime80(m, sub1, p1, p2, v, alt)
+	if arr < w0 {
+		arr = w0
+	}
+	if arr > w1 {
+		return 0, false
+	}
+	return arr, true
+}
+
+// arrivalMismatch returns a description of how ArrivalS differs from the
+// clamp, or "" when both return the same bits and the same verdict.
+func arrivalMismatch(m SlewModel, sub1, p1, p2 geo.Point2, v, alt, t, w0, w1 float64) string {
+	got, ok := ArrivalS(m, sub1, p1, p2, v, alt, t, w0, w1)
+	want, wantOK := clampArrival(m, sub1, p1, p2, v, alt, t, w0, w1)
+	if ok == wantOK && math.Float64bits(got) == math.Float64bits(want) {
+		return ""
+	}
+	return fmt.Sprintf("%+v, %v, %v, %v, v %v, alt %v, from %v in [%v, %v]: %v %v, clamp %v %v",
+		m, sub1, p1, p2, v, alt, t, w0, w1, got, ok, want, wantOK)
+}
+
+// TestArrivalBitIdentical compares ArrivalS bit for bit with the clamp on
+// 300,000 random geometries drawn as TestActuationTimeBisectionBitIdentical
+// draws them, each with a window placed around its true arrival: wholly
+// after it, across it, wholly before it, the single point on it, or
+// unbounded above. Both early stops must fire.
+func TestArrivalBitIdentical(t *testing.T) {
+	models := []SlewModel{PaperSlew(), HighEndSlew(), {RateDegS: 0.5}, {RateDegS: 30, OverheadS: 3}, {RateDegS: 0.005, OverheadS: 0.2}}
+	rng := rand.New(rand.NewSource(2))
+	pt := func(scale float64) geo.Point2 {
+		return geo.Point2{X: (2*rng.Float64() - 1) * scale, Y: (2*rng.Float64() - 1) * scale}
+	}
+	var cuts [3]int
+	for n := 0; n < 300_000; n++ {
+		m := models[n%len(models)]
+		scale := math.Pow(10, 2+4*rng.Float64())
+		sub1, p1, p2 := pt(scale), pt(scale), pt(scale)
+		if n%10 == 0 {
+			p2 = p1
+		}
+		v := 8000 * rng.Float64()
+		if n%7 == 0 {
+			v = 0
+		}
+		alt := math.Pow(10, 3+3*rng.Float64())
+		from := 30 * rng.Float64()
+		a := from + ActuationTimeS(m, sub1, p1, p2, v, alt)
+		if math.IsInf(a, 1) {
+			a = from + 30*rng.Float64()
+		}
+		d0, d1 := 30*rng.Float64(), 30*rng.Float64()
+		var w0, w1 float64
+		switch n % 5 {
+		case 0:
+			w0, w1 = a+d0, a+d0+d1
+		case 1:
+			w0, w1 = a-d0, a+d1
+		case 2:
+			w0, w1 = a-d0-d1, a-d0
+		case 3:
+			w0, w1 = a, a
+		case 4:
+			w0, w1 = a-d0, math.Inf(1)
+		}
+		if msg := arrivalMismatch(m, sub1, p1, p2, v, alt, from, w0, w1); msg != "" {
+			t.Fatalf("case %d: %s", n, msg)
+		}
+		_, cut := actuation(m, sub1, p1, p2, v, alt, from, w0, w1)
+		cuts[cut]++
+	}
+	t.Logf("%d solved, %d stopped below w0, %d stopped past w1", cuts[cutNone], cuts[cutAtW0], cuts[cutPastW1])
+	if cuts[cutAtW0] == 0 || cuts[cutPastW1] == 0 {
+		t.Errorf("stops below w0 %d, past w1 %d: an early stop is not exercised", cuts[cutAtW0], cuts[cutPastW1])
+	}
+}
+
+// FuzzArrivalDifferential compares ArrivalS bit for bit with the clamp on
+// arbitrary slew models, geometries, start times and windows. The seeds
+// cover the same target (need(0) < 1e-9), an unreachable target (the
+// bracket past 1e4 s, +Inf) against a finite and an infinite w1, NaN
+// coordinates with the start past w1, a single-point window, a w0 equal
+// to the start plus the bracket's upper end, a w0 equal to the
+// arrival, an infinite w1, and a w0 of -0 that the start plus the bracket
+// reaches as +0.
+func FuzzArrivalDifferential(f *testing.F) {
+	p := PaperSlew()
+	sub, p1, p2 := pt(0, 0), pt(-5e3, 30e3), pt(5e3, 30e3)
+	dt := ActuationTimeS(p, sub, p1, p2, vGround, altM)
+	// The bracket the bisection starts from: the first upper end that
+	// holds, doubling from the overhead plus the angle at the rate.
+	need := func(dt float64) float64 { return PointingAngleDeg(sub, p1, pt(0, vGround*dt), p2, altM) }
+	hi0 := p.OverheadS + need(0)/p.RateDegS
+	for p.MaxAngDeg(hi0) < need(hi0) {
+		hi0 *= 2
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	type seed struct{ sx, sy, ax, ay, bx, by, v, alt, rate, over, t, w0, w1 float64 }
+	for _, s := range []seed{
+		{0, 0, 1e3, 2e4, 1e3, 2e4, 0, altM, 3, 0.67, 5, 0, 30},
+		{0, 0, -5e5, 0, 5e5, 0, vGround, altM, 0.005, 0.2, 0, 0, 30},
+		{0, 0, -5e5, 0, 5e5, 0, vGround, altM, 0.005, 0.2, 0, 0, inf},
+		{0, 0, -5e3, 30e3, nan, 30e3, vGround, altM, 3, 0.67, 40, 0, 30},
+		{0, 0, -5e3, 30e3, 5e3, 30e3, vGround, altM, 3, 0.67, 1, 4.5, 4.5},
+		{0, 0, -5e3, 30e3, 5e3, 30e3, vGround, altM, 3, 0.67, 1, 1 + hi0, 20},
+		{0, 0, -5e3, 30e3, 5e3, 30e3, vGround, altM, 3, 0.67, 1, 1 + dt, 20},
+		{0, 0, -5e3, 30e3, 5e3, 30e3, vGround, altM, 3, 0.67, 0, 0, inf},
+		{0, 0, -5e3, 30e3, 5e3, 30e3, vGround, altM, 3, 0.67, -hi0, math.Copysign(0, -1), 10},
+	} {
+		f.Add(s.sx, s.sy, s.ax, s.ay, s.bx, s.by, s.v, s.alt, s.rate, s.over, s.t, s.w0, s.w1)
+	}
+	f.Fuzz(func(t *testing.T, sx, sy, ax, ay, bx, by, v, alt, rate, over, from, w0, w1 float64) {
+		m := SlewModel{RateDegS: rate, OverheadS: over}
+		if msg := arrivalMismatch(m, pt(sx, sy), pt(ax, ay), pt(bx, by), v, alt, from, w0, w1); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 func TestTimeWindowNadirTarget(t *testing.T) {

@@ -132,11 +132,8 @@ func (s *abbSearch) dfs(t float64, aim geo.Point2, value float64, captured []boo
 		if w[1] < t {
 			continue
 		}
-		arr := s.p.EarliestArrival(s.f, aim, t, tgt.Pos)
-		if arr < w[0] {
-			arr = w[0]
-		}
-		if arr > w[1] {
+		arr, ok := s.p.Arrival(s.f, aim, t, tgt.Pos, w[0], w[1])
+		if !ok {
 			continue
 		}
 		captured[i] = true

@@ -41,11 +41,8 @@ func (Greedy) Schedule(p *Problem) (Schedule, error) {
 					continue
 				}
 				nodes++
-				arr := p.EarliestArrival(f, aim, t, tgt.Pos)
-				if arr < w0 {
-					arr = w0
-				}
-				if arr > w1 {
+				arr, ok := p.Arrival(f, aim, t, tgt.Pos, w0, w1)
+				if !ok {
 					continue
 				}
 				// "Nearest" = reachable soonest; ties broken by ID for

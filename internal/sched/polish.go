@@ -19,7 +19,7 @@ import (
 //     from the time and aim the unchanged prefix reaches; the prefix is
 //     advanced one capture per failed position, and the search stops once
 //     the prefix itself is infeasible (every later trial would contain it).
-//     Window and EarliestArrival are pure, so each capture gets exactly the
+//     Window and Arrival are pure, so each capture gets exactly the
 //     time a re-timing of the whole trial from t = 0 would give it.
 //
 // The result is always feasible and never worth less than the input. This
@@ -104,11 +104,8 @@ func arrival(p *Problem, f Follower, t float64, aim geo.Point2, c Capture, byID 
 	if !ok {
 		return 0, aim, false
 	}
-	arr := p.EarliestArrival(f, aim, t, tgt.Pos)
-	if arr < w0 {
-		arr = w0
-	}
-	if arr > w1 {
+	arr, ok := p.Arrival(f, aim, t, tgt.Pos, w0, w1)
+	if !ok {
 		return 0, aim, false
 	}
 	return arr, tgt.Pos, true

@@ -67,11 +67,8 @@ func oracleRetime(ar *ilpArena, p *Problem, f Follower, seq []Capture, byID map[
 		if !ok {
 			return false
 		}
-		arr := p.EarliestArrival(f, aim, t, tgt.Pos)
-		if arr < w0 {
-			arr = w0
-		}
-		if arr > w1 {
+		arr, ok := clampArrival(p, f, aim, t, tgt.Pos, w0, w1)
+		if !ok {
 			return false
 		}
 		times[i] = arr

@@ -139,11 +139,13 @@ func (p *Problem) TransitionFeasible(f Follower, from geo.Point2, tFrom float64,
 	return a <= p.Env.Slew.MaxAngDeg(tTo-tFrom)+1e-9
 }
 
-// EarliestArrival returns the earliest time >= tFrom at which follower f,
-// aiming at from at tFrom, can be aiming at to: the Eq. 1 solve.
-func (p *Problem) EarliestArrival(f Follower, from geo.Point2, tFrom float64, to geo.Point2) float64 {
-	dt := adacs.ActuationTimeS(p.Env.Slew, p.subPointAt(f, tFrom), from, to, p.Env.GroundSpeedMS, p.Env.AltitudeM)
-	return tFrom + dt
+// Arrival returns the earliest time inside the window [w0, w1] at which
+// follower f, aiming at from at tFrom, can be aiming at to: the Eq. 1
+// solve's arrival clamped up to w0, and false when it is past w1. Polish,
+// greedy and AB&B all time captures with it; the solve stops as soon as
+// the window decides the answer (adacs.ArrivalS).
+func (p *Problem) Arrival(f Follower, from geo.Point2, tFrom float64, to geo.Point2, w0, w1 float64) (float64, bool) {
+	return adacs.ArrivalS(p.Env.Slew, p.subPointAt(f, tFrom), from, to, p.Env.GroundSpeedMS, p.Env.AltitudeM, tFrom, w0, w1)
 }
 
 // Capture is one scheduled image: which target, when, by which follower.

@@ -211,17 +211,28 @@ func seqValue(p *Problem, f Follower, order []int) float64 {
 		if !ok {
 			return -1
 		}
-		arr := p.EarliestArrival(f, aim, t, tgt.Pos)
-		if arr < w0 {
-			arr = w0
-		}
-		if arr > w1 {
+		arr, ok := clampArrival(p, f, aim, t, tgt.Pos, w0, w1)
+		if !ok {
 			return -1
 		}
 		val += tgt.Value
 		t, aim = arr, tgt.Pos
 	}
 	return val
+}
+
+// clampArrival is how the schedulers timed a capture before
+// Problem.Arrival: the unbounded Eq. 1 solve from tFrom, clamped up to w0
+// and rejected past w1. The oracles here keep it.
+func clampArrival(p *Problem, f Follower, from geo.Point2, tFrom float64, to geo.Point2, w0, w1 float64) (float64, bool) {
+	arr := tFrom + adacs.ActuationTimeS(p.Env.Slew, p.subPointAt(f, tFrom), from, to, p.Env.GroundSpeedMS, p.Env.AltitudeM)
+	if arr < w0 {
+		arr = w0
+	}
+	if arr > w1 {
+		return 0, false
+	}
+	return arr, true
 }
 
 // bruteBest enumerates all subsets and orders for a single follower.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -122,6 +123,51 @@ func TestLeaderFailReelects(t *testing.T) {
 	}
 	if r.Captures == 0 || r.SchedSolves == 0 {
 		t.Errorf("re-elected group never scheduled: %+v", r)
+	}
+}
+
+// TestLeaderFailAtStart: a re-elected leader's stepper is anchored at the
+// failure's boundary and advances with the group from the next frame on,
+// so it always stands at the last frame's time (its elapsed time plus a
+// cadence is the next frame's), whether the failure fires at the first
+// frame or later, across window boundaries, a one-shot run and a restore
+// replay. At the first frame no advance runs, so a stepper that skipped
+// its next advance there imaged a cadence behind for the rest of the run.
+func TestLeaderFailAtStart(t *testing.T) {
+	for _, at := range []float64{0, 100} {
+		cfg := eventCfg(4, Event{AtS: at, Kind: EventLeaderFail})
+		cfg.DurationS = 1800
+		check := func(r *Runner, when string) {
+			t.Helper()
+			j := r.jobs[0].(*groupJob)
+			if got := j.lead.Elapsed() + j.cadence; got != j.ts {
+				t.Errorf("failure at %v s, %s: the leader stepper stands at %v s, the last frame at %v s",
+					at, when, j.lead.Elapsed(), j.ts-j.cadence)
+			}
+		}
+		r := mustRunner(t, cfg)
+		for _, b := range []float64{13, 300, 900} {
+			advance(t, r, b)
+			check(r, fmt.Sprintf("window to %v s", b))
+		}
+		var snap bytes.Buffer
+		if err := r.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		rr, err := RestoreRunner(cfg, &snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rr.Close()
+		check(rr, "restored at 900 s")
+		advance(t, rr, cfg.DurationS)
+		check(rr, "restored, then to the end")
+		one := mustRunner(t, cfg)
+		advance(t, one, cfg.DurationS)
+		check(one, "one-shot")
+		if res := result(t, one); res.LeaderReelections != 1 || res.FramesWithTargets == 0 {
+			t.Errorf("failure at %v s: %d re-elections over %d frames with targets, want 1 over some", at, res.LeaderReelections, res.FramesWithTargets)
+		}
 	}
 }
 

@@ -56,9 +56,6 @@ type groupJob struct {
 	recap atomic.Int64
 
 	lead *orbit.Stepper
-	// leadFresh marks a re-election frame: the replacement stepper is
-	// anchored at the current boundary and must not be advanced into it.
-	leadFresh bool
 	// ahead is the span's frame-query lookahead (see lookahead.go).
 	ahead         spanSlots
 	schedSteppers []*orbit.Stepper
@@ -249,15 +246,9 @@ func (j *groupJob) close() {
 // duration-derived.
 func (j *groupJob) finalize(agg *runState, elapsedS float64) {}
 
-// advanceSteppers moves every stepper to the current frame boundary. A
-// freshly re-elected leader stepper is already anchored there and is
-// skipped once.
+// advanceSteppers moves every stepper to the current frame boundary.
 func (j *groupJob) advanceSteppers() {
-	if j.leadFresh {
-		j.leadFresh = false
-	} else {
-		j.lead.Advance()
-	}
+	j.lead.Advance()
 	for _, s := range j.schedSteppers {
 		s.Advance()
 	}
@@ -313,7 +304,6 @@ func (j *groupJob) applyEvent(ev Event) {
 			j.aliveCount--
 			j.leader = nl
 			j.lead = nl.Prop.NewStepper(j.ts, j.cadence)
-			j.leadFresh = true
 			j.env.AltitudeM = nl.Prop.AltitudeM()
 			j.env.GroundSpeedMS = nl.Prop.GroundSpeedMS()
 			if count {
@@ -357,13 +347,6 @@ func (j *groupJob) run(untilS float64) error {
 	fb := st.fb
 	for !j.dark && j.ts < untilS {
 		ts := j.ts
-		// Fault events fire at frame boundaries, before the frame exists.
-		for j.evCursor < len(j.events) && j.events[j.evCursor].AtS <= ts {
-			j.applyEvent(j.events[j.evCursor])
-		}
-		if j.dark {
-			return nil
-		}
 		replay := j.frameIdx < j.skipTo
 		if j.frameIdx > 0 {
 			if jm != nil && !replay && j.frameIdx&ephSampleMask == 0 {
@@ -378,6 +361,15 @@ func (j *groupJob) run(untilS float64) error {
 			} else {
 				j.advanceSteppers()
 			}
+		}
+		// Fault events fire at frame boundaries, once the steppers stand
+		// at the boundary and before the frame exists; a re-elected
+		// leader's stepper is anchored there.
+		for j.evCursor < len(j.events) && j.events[j.evCursor].AtS <= ts {
+			j.applyEvent(j.events[j.evCursor])
+		}
+		if j.dark {
+			return nil
 		}
 		j.frameIdx++
 		frameIdx := j.frameIdx
@@ -406,7 +398,7 @@ func (j *groupJob) run(untilS float64) error {
 		}
 		st.res.TargetsPerImage.Observe(len(idx))
 		for _, ci := range idx {
-			st.seen[ci] = true
+			st.seen.set(ci)
 		}
 		if j.aliveCount == 0 {
 			// Every capture payload has failed: the leader keeps imaging
@@ -653,7 +645,7 @@ func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres 
 				}
 				pos := targets[ci].PosAt(absT)
 				if fp.Contains(frame.ToLocal(pos)) {
-					st.captured[ci] = true
+					st.captured.set(ci)
 					if st.cfg.RecaptureDedup {
 						st.capCells[capCellKey(pos)] = true
 					}

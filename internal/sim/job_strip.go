@@ -122,9 +122,9 @@ func (j *stripJob) run(untilS float64) error {
 			jm.framesWithTargets.Inc()
 		}
 		for _, ci := range idx {
-			st.seen[ci] = true
+			st.seen.set(ci)
 			if j.highRes {
-				st.captured[ci] = true
+				st.captured.set(ci)
 			}
 		}
 	}

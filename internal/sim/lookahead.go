@@ -129,7 +129,6 @@ type spanSlots struct {
 	slots  []querySlot
 	skipTo int
 	lead   orbit.Stepper
-	fresh  bool
 	ts     float64
 }
 
@@ -159,7 +158,7 @@ func (a *spanSlots) prepare(j *groupJob, to float64) bool {
 	a.slots = a.slots[:n]
 	clear(a.slots)
 	a.first, a.skipTo = j.frameIdx, j.skipTo
-	a.lead, a.fresh, a.ts = *j.lead, j.leadFresh, j.ts
+	a.lead, a.ts = *j.lead, j.ts
 	return true
 }
 
@@ -225,18 +224,14 @@ func (la *lookahead) run() {
 	defer la.wg.Done()
 	for _, j := range la.jobs {
 		a := &j.ahead
-		lead, fresh, ts := a.lead, a.fresh, a.ts
+		lead, ts := a.lead, a.ts
 		for i := range a.slots {
 			if la.stop.Load() {
 				return
 			}
 			k := a.first + i
 			if k > 0 {
-				if fresh {
-					fresh = false
-				} else {
-					lead.Advance()
-				}
+				lead.Advance()
 			}
 			if s := &a.slots[i]; k >= a.skipTo && s.state.CompareAndSwap(slotFree, slotAhead) {
 				s.res = la.sc.frameQuery(&j.fp, &lead, ts)

@@ -13,10 +13,11 @@ import (
 )
 
 // lookaheadCfg is the frame-lookahead contract's scenario: four groups
-// of a leader and two followers over a 2 h moving world, with a follower
-// failure and two leader failures (re-elections) inside the hour-long
-// spans Advance runs. The re-elections hit groups 2 and 3, whose frames
-// the helper reaches ahead of their loops while groups 0 and 1 run.
+// of a leader and two followers over a 2 h moving world, with a leader
+// failure at the first frame, then a follower failure and two more
+// leader failures (re-elections) inside the hour-long spans Advance runs.
+// The later re-elections hit groups 2 and 3, whose frames the helper
+// reaches ahead of their loops while groups 0 and 1 run.
 func lookaheadCfg() Config {
 	return Config{
 		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 12, FollowersPerGroup: 2},
@@ -24,6 +25,7 @@ func lookaheadCfg() Config {
 		DurationS:     2 * 3600,
 		Seed:          7,
 		Events: []Event{
+			{AtS: 0, Kind: EventLeaderFail, Group: 0},
 			{AtS: 1500, Kind: EventFollowerFail, Group: 1, Follower: 1},
 			{AtS: 2000, Kind: EventLeaderFail, Group: 3},
 			{AtS: 4400, Kind: EventLeaderFail, Group: 2},
@@ -99,8 +101,9 @@ func runLookahead(t *testing.T, cfg Config, bounds []float64, workers, procs, ba
 // Workers 1 and 4 and GOMAXPROCS 1, 2 and 8, with the helper running
 // (the pool leaves a P idle) or not, over windows of one frame, 15
 // minutes, an hour and one shot, the Result, the trace and the index
-// candidate totals equal the run without a helper, through a follower
-// failure and leader re-elections inside a span. A runner restored
+// candidate totals equal the run without a helper, through a leader
+// re-election at the first frame, and a follower failure and leader
+// re-elections inside a span. A runner restored
 // mid-span continues to the uninterrupted run's Result and trace. A
 // helper starts exactly when the pool is smaller than GOMAXPROCS, so
 // never with one P, and never for a run of one group; no goroutine
@@ -134,7 +137,7 @@ func TestFrameLookaheadIdentity(t *testing.T) {
 		if ref.starts != 0 || ref.ahead != 0 {
 			t.Fatalf("%s: GOMAXPROCS 1 started %d helpers that ran %d queries", w.name, ref.starts, ref.ahead)
 		}
-		if ref.res.LeaderReelections != 2 || ref.res.SatsFailed != 3 || ref.res.FramesWithTargets == 0 {
+		if ref.res.LeaderReelections != 3 || ref.res.SatsFailed != 4 || ref.res.FramesWithTargets == 0 {
 			t.Fatalf("%s: degenerate reference: %+v", w.name, ref.res)
 		}
 		if w.name == "one-shot" {

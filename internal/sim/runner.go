@@ -317,16 +317,8 @@ func (r *Runner) Result() (*Result, error) {
 		j.state().mergeInto(agg)
 		j.finalize(agg, r.nowS)
 	}
-	for _, c := range agg.captured {
-		if c {
-			res.HighResCaptured++
-		}
-	}
-	for _, s := range agg.seen {
-		if s {
-			res.LowResSeen++
-		}
-	}
+	res.HighResCaptured = agg.captured.count()
+	res.LowResSeen = agg.seen.count()
 	agg.finalizeEnergy(r.nowS)
 	agg.finalizeComms(r.nowS)
 	if r.sm != nil {

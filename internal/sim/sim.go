@@ -241,8 +241,8 @@ type runState struct {
 	cfg      Config
 	cons     *constellation.Constellation
 	res      *Result
-	captured []bool
-	seen     []bool
+	captured targetBits
+	seen     targetBits
 	leaderB  *energy.Budget
 	folB     *energy.Budget
 	// capCells is the recapture registry: ~2 km ground cells this group
@@ -295,8 +295,8 @@ func newRunState(cfg Config, cons *constellation.Constellation, index *dataset.T
 		cfg:      cfg,
 		cons:     cons,
 		res:      &Result{},
-		captured: make([]bool, len(cfg.App.Targets)),
-		seen:     make([]bool, len(cfg.App.Targets)),
+		captured: newTargetBits(len(cfg.App.Targets)),
+		seen:     newTargetBits(len(cfg.App.Targets)),
 		leaderB:  energy.NewBudget(energyParams(cfg)),
 		folB:     energy.NewBudget(energyParams(cfg)),
 		capCells: make(map[int64]bool),
@@ -342,16 +342,8 @@ func (st *runState) mergeInto(dst *runState) {
 	r.SatsFailed += p.SatsFailed
 	r.LeaderReelections += p.LeaderReelections
 	r.CrosslinkBytes += p.CrosslinkBytes
-	for i, c := range st.captured {
-		if c {
-			dst.captured[i] = true
-		}
-	}
-	for i, s := range st.seen {
-		if s {
-			dst.seen[i] = true
-		}
-	}
+	dst.captured.or(st.captured)
+	dst.seen.or(st.seen)
 	dst.leaderB.Add(st.leaderB)
 	dst.folB.Add(st.folB)
 }

@@ -23,9 +23,13 @@ import (
 //   - orbit.Stepper advances are pure float recurrences, so replaying
 //     the same number of Advance calls reproduces the phase bit-exactly
 //     (the 256-step resync makes the cost of drift moot as well);
-//   - the warm-start solver state is a pure accelerator: PR 5 pins that
-//     warm results are byte-identical to cold, so a restored runner may
-//     legally resume cold and re-warm on the next frames;
+//   - the warm-start solver state is not stored: a restored runner
+//     schedules each group's first frame after the restore cold and is
+//     warm again from the next one. Restore reproduces the uninterrupted run when
+//     those cold solves reach the warm run's schedules, which the restore
+//     differentials pin; it does not need warm and cold whole runs to
+//     agree, and they need not (an equal-objective tie may resolve either
+//     way on a long run);
 //   - the RNG is reseeded per processed frame from frameSeed, so there
 //     is no stream position beyond the frame index.
 //
@@ -84,25 +88,6 @@ func (b *binWriter) str(s string) {
 	b.raw([]byte(s))
 }
 
-func (b *binWriter) bools(v []bool) {
-	b.u32(uint32(len(v)))
-	var acc uint8
-	bit := 0
-	for _, x := range v {
-		if x {
-			acc |= 1 << bit
-		}
-		bit++
-		if bit == 8 {
-			b.u8(acc)
-			acc, bit = 0, 0
-		}
-	}
-	if bit > 0 {
-		b.u8(acc)
-	}
-}
-
 // binReader mirrors binWriter.
 type binReader struct {
 	r   io.Reader
@@ -152,36 +137,13 @@ func (b *binReader) u8() uint8 {
 func (b *binReader) i64() int64   { return int64(b.u64()) }
 func (b *binReader) f64() float64 { return math.Float64frombits(b.u64()) }
 
-// bools reads a packed bool slice into dst, requiring the stored length
-// to match (the target count is part of the scenario digest, so a
-// mismatch means corruption).
-func (b *binReader) bools(dst []bool) {
-	n := int(b.u32())
-	if b.err != nil {
-		return
-	}
-	if n != len(dst) {
-		b.err = fmt.Errorf("sim: snapshot bitmap length %d, want %d", n, len(dst))
-		return
-	}
-	nb := (n + 7) / 8
-	for i := 0; i < nb; i++ {
-		acc := b.u8()
-		for bit := 0; bit < 8; bit++ {
-			idx := i*8 + bit
-			if idx >= n {
-				break
-			}
-			dst[idx] = acc&(1<<bit) != 0
-		}
-	}
-}
-
 // configDigest hashes the scenario identity a snapshot must match:
-// everything that shapes the deterministic result. Execution knobs that
-// are pinned byte-identical (Workers, DisableWarmStart) and I/O wiring
-// (Trace, Metrics) are excluded on purpose -- a snapshot taken on a
-// 4-worker warm run restores into a sequential cold one.
+// everything that shapes the deterministic result. Execution knobs
+// (Workers, which is pinned byte-identical, and DisableWarmStart, which
+// changes solver paths and, on an equal-objective tie, a schedule) and
+// I/O wiring (Trace, Metrics) are excluded on purpose -- a snapshot taken
+// on a 4-worker warm run restores into a sequential cold one, which then
+// continues as a cold run would.
 func configDigest(cfg Config, cons *constellation.Constellation) uint64 {
 	h := fnv.New64a()
 	bw := &binWriter{w: h}
@@ -294,8 +256,9 @@ func (st *runState) snapshot(bw *binWriter) {
 	} {
 		bw.f64(b)
 	}
-	bw.bools(st.captured)
-	bw.bools(st.seen)
+	n := len(st.cfg.App.Targets)
+	st.captured.encode(bw, n)
+	st.seen.encode(bw, n)
 	// The recapture registry is a set; keys are written sorted so the
 	// snapshot bytes are deterministic.
 	keys := make([]int64, 0, len(st.capCells))
@@ -347,8 +310,8 @@ func (st *runState) restore(br *binReader) {
 	st.folB.ComputeJ = br.f64()
 	st.folB.TXJ = br.f64()
 	st.folB.CrosslinkJ = br.f64()
-	br.bools(st.captured)
-	br.bools(st.seen)
+	st.captured.decode(br, len(st.cfg.App.Targets))
+	st.seen.decode(br, len(st.cfg.App.Targets))
 	n := int(br.u32())
 	for i := 0; i < n && br.err == nil; i++ {
 		st.capCells[br.i64()] = true

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -384,6 +385,46 @@ func TestConfigDigestGolden(t *testing.T) {
 	}
 }
 
+// TestSnapshotBytesGolden pins the snapshot bytes, bitmaps included,
+// against fixed FNV-64a hashes: a LowResOnly and a HighResOnly run over a
+// moving world, snapshotted at 1.5 h. Strip runs record no wall-clock
+// fields, so their bytes repeat run to run; the low-res run sets the seen
+// bitmap and the high-res run both, and 3,003 targets leave each bitmap's
+// last byte partly unused.
+func TestSnapshotBytesGolden(t *testing.T) {
+	app := movingWorld(3003, 41, 2*3600)
+	for _, c := range []struct {
+		name string
+		kind constellation.Kind
+		want uint64
+	}{
+		{"low-res-only", constellation.LowResOnly, 0x0b9c08b91394837a},
+		{"high-res-only", constellation.HighResOnly, 0x91d39ad924e191c1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{
+				Constellation: constellation.Config{Kind: c.kind, Satellites: 4},
+				App:           app, DurationS: 2 * 3600, Seed: 9, Workers: 2,
+			}
+			r := mustRunner(t, cfg)
+			advance(t, r, 5400)
+			res := result(t, r)
+			if res.LowResSeen == 0 || (c.kind == constellation.HighResOnly) != (res.HighResCaptured > 0) {
+				t.Fatalf("degenerate run: %d seen, %d captured", res.LowResSeen, res.HighResCaptured)
+			}
+			var snap bytes.Buffer
+			if err := r.Snapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(snap.Bytes())
+			if got := h.Sum64(); got != c.want {
+				t.Errorf("snapshot of %d bytes hashes to %#x, want %#x", snap.Len(), got, c.want)
+			}
+		})
+	}
+}
+
 // TestSnapshotOfFailedOrClosedRunner: poisoned and closed runners refuse
 // to snapshot instead of persisting a half-advanced state.
 func TestSnapshotOfFailedOrClosedRunner(t *testing.T) {
@@ -407,11 +448,12 @@ const snapHeaderLen = 8 + 2 + 2 + 8 + 8 + 4
 // seeds are a valid snapshot at 0.5 h and its truncations, then edits of
 // it: a recapture registry claiming 2^32-1 keys with none after them, a
 // frame cursor past what the replay produces, positions NaN, +Inf, -1 and
-// past the span, and a wrong job count.
+// past the span, a wrong job count, and the unused high bits of every
+// bitmap's last byte set, which must restore to the valid seed's Result.
 func FuzzRestoreRunner(f *testing.F) {
 	cfg := Config{
 		Constellation:  constellation.Config{Kind: constellation.LeaderFollower, Satellites: 4},
-		App:            movingWorld(600, 5, 3600),
+		App:            movingWorld(603, 5, 3600),
 		DurationS:      3600,
 		Seed:           3,
 		RecaptureDedup: true,
@@ -427,24 +469,49 @@ func FuzzRestoreRunner(f *testing.F) {
 	if err := r.Snapshot(&snap); err != nil {
 		f.Fatal(err)
 	}
-	// Job 0's section as Snapshot writes it: the recapture registry's key
-	// count sits before its keys and the trailing trace cursor.
-	var job0 bytes.Buffer
-	bw := &binWriter{w: &job0}
-	r.jobs[0].snapExtra(bw)
-	r.jobs[0].state().snapshot(bw)
-	keys := len(r.jobs[0].state().capCells)
-	capCount := snapHeaderLen + job0.Len() - 8 - 8*keys - 4
+	// Each job's section as Snapshot writes it: the recapture registry's
+	// key count sits before its keys and the trailing trace cursor, and
+	// right after the seen bitmap, which follows the captured one. padded
+	// is the valid snapshot with the unused high bits of each bitmap's last
+	// byte set (603 targets leave five).
+	valid := snap.Bytes()
+	padded := slices.Clone(valid)
+	nb := (len(cfg.App.Targets) + 7) / 8
+	unused := byte(0xff) << (len(cfg.App.Targets) % 8)
+	capCount, off := 0, snapHeaderLen
+	for i, j := range r.jobs {
+		var sec bytes.Buffer
+		bw := &binWriter{w: &sec}
+		j.snapExtra(bw)
+		j.state().snapshot(bw)
+		keys := len(j.state().capCells)
+		count := off + sec.Len() - 8 - 8*keys - 4
+		if got := binary.BigEndian.Uint32(valid[count:]); int(got) != keys {
+			f.Fatalf("job %d's registry count reads %d at byte %d, want %d", i, got, count, keys)
+		}
+		if i == 0 {
+			capCount = count
+		}
+		padded[count-1] |= unused
+		padded[count-1-nb-4] |= unused
+		off += sec.Len()
+	}
 	jobs := len(r.jobs)
 	r.Close()
-	valid := snap.Bytes()
-	if got := binary.BigEndian.Uint32(valid[capCount:]); int(got) != keys {
-		f.Fatalf("job 0's registry count reads %d at byte %d, want %d", got, capCount, keys)
+	restored := func(body []byte) *Result {
+		rr, err := RestoreRunner(cfg, bytes.NewReader(body))
+		if err != nil {
+			f.Fatalf("a valid seed does not restore: %v", err)
+		}
+		defer rr.Close()
+		res, err := rr.Result()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return res
 	}
-	if rr, err := RestoreRunner(cfg, bytes.NewReader(valid)); err != nil {
-		f.Fatalf("the valid seed does not restore: %v", err)
-	} else {
-		rr.Close()
+	if a, b := restored(valid), restored(padded); !reflect.DeepEqual(a, b) {
+		f.Fatalf("set unused bitmap bits change the restored result:\n%+v\nvs\n%+v", b, a)
 	}
 	edit := func(off int, val []byte) []byte {
 		b := slices.Clone(valid)
@@ -465,6 +532,7 @@ func FuzzRestoreRunner(f *testing.F) {
 		f.Add(edit(pos, u64(math.Float64bits(v))))
 	}
 	f.Add(edit(snapHeaderLen-4, binary.BigEndian.AppendUint32(nil, uint32(jobs+1))))
+	f.Add(padded)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rr, err := RestoreRunner(cfg, bytes.NewReader(body))
