@@ -35,10 +35,13 @@ tier1: build vet race
 # runs match their golden. Destination, ToLocal, the actuation bisection,
 # the windowed arrival and the detector RNG match their oracles bit for
 # bit, and the generated worlds and strip snapshots their golden hashes.
-# Create bodies, checkpoints, simulator snapshots, step bodies,
-# one-shot spans and eeinspect's inputs stay within their bounds (the
-# one-shot memory test skips under the race detector; longhorizon-smoke
-# runs it).
+# The metric counters equal the Result after every window (one-shot,
+# windowed and restored runs) and the trace's sums, total the same at
+# Workers 4 as at 1, and every family is documented; each stage's flight
+# spans sum to its stage counter. Create bodies, checkpoints, simulator
+# snapshots, step bodies, one-shot spans and eeinspect's inputs stay
+# within their bounds (the one-shot memory test skips under the race
+# detector; longhorizon-smoke runs it).
 # Each name is a -run pattern; one that matches no test in the packages
 # fails the target, so a rename cannot silently shrink the gate.
 race-contracts:
@@ -59,7 +62,8 @@ race-contracts:
 		TestFrameSourceDifferential TestFrameSourceGeneratesOnlyWordsRead \
 		FuzzFrameSourceDifferential TestDatasetGolden TestAdmissionStress \
 		FuzzRestoreSession FuzzRestoreRunner FuzzCreateBody FuzzStepBody TestCreateBoundsTargetSpeed \
-		TestSessionRejectsBadCourses TestOneShotMemoryBounded"; \
+		TestSessionRejectsBadCourses TestOneShotMemoryBounded \
+		TestMetrics TestTraceMetricsConsistency TestFlightMatchesStageMetrics"; \
 	listed=$$($(GO) test -list . $$pkgs) || { echo "$$listed"; exit 1; }; \
 	for n in $$names; do \
 		echo "$$listed" | grep -E '^(Test|Fuzz)' | grep -q -- "$$n" \

@@ -191,7 +191,9 @@ type Config struct {
 	// Metrics, when non-nil, receives run metrics: event counters, stage
 	// wall-time breakdowns, solver activity and progress gauges. Integer
 	// event counters are deterministic across Workers; timing series are
-	// machine-dependent. Serve it live with ServeMetrics or snapshot it
+	// machine-dependent. Event counters and progress advance after every
+	// simulated hour (or at the end of a shorter step), not per frame.
+	// Serve it live with ServeMetrics or snapshot it
 	// with WritePrometheus / WriteSummary after Run returns. Not
 	// serialized by Session.Checkpoint.
 	Metrics *MetricsRegistry `json:"-"`

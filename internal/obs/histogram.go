@@ -15,15 +15,7 @@ var DefTimeBuckets = []float64{
 	1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// histShard is one worker's bucket counts plus the CAS-maintained sum of
-// observations. Shards own separate allocations, so concurrent observers
-// touch disjoint memory.
-type histShard struct {
-	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	sum    atomic.Uint64  // float64 bits
-}
-
-// Histogram is a sharded fixed-bucket histogram. Bucket upper bounds are
+// Histogram is a fixed-bucket histogram. Bucket upper bounds are
 // inclusive (v <= bound), matching the Prometheus `le` convention; values
 // above the last bound land in the implicit +Inf bucket. Bucket counts are
 // integer atomics, so totals are independent of observer interleaving; the
@@ -31,48 +23,26 @@ type histShard struct {
 // addition order.
 type Histogram struct {
 	bounds []float64
-	shards []histShard
+	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
+	sum    atomic.Uint64  // float64 bits
 }
 
-func newHistogram(shards int, bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
-	h := &Histogram{bounds: bs, shards: make([]histShard, shards)}
-	for i := range h.shards {
-		h.shards[i].counts = make([]atomic.Int64, len(bs)+1)
-	}
-	return h
-}
-
-// bucketIdx returns the first bucket whose upper bound admits v.
-func (h *Histogram) bucketIdx(v float64) int {
-	// sort.SearchFloat64s finds the first i with bounds[i] >= v, which is
-	// exactly the inclusive-upper-bound bucket; NaN falls through to +Inf.
-	return sort.SearchFloat64s(h.bounds, v)
-}
-
-// Observe records v on shard 0 (unsharded callers).
-func (h *Histogram) Observe(v float64) { h.Shard(0).Observe(v) }
-
-// Shard returns worker i's private observation handle. Indices wrap.
-func (h *Histogram) Shard(i int) HistogramShard {
-	return HistogramShard{h: h, s: &h.shards[i&(len(h.shards)-1)]}
-}
-
-// HistogramShard is a pre-resolved observation handle for one worker.
-type HistogramShard struct {
-	h *Histogram
-	s *histShard
+	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
 }
 
 // Observe records one value: a single atomic bucket increment plus a CAS
-// sum update on the worker's private shard.
-func (hs HistogramShard) Observe(v float64) {
-	hs.s.counts[hs.h.bucketIdx(v)].Add(1)
+// sum update. sort.SearchFloat64s finds the first i with bounds[i] >= v,
+// which is exactly the inclusive-upper-bound bucket; NaN falls through to
+// +Inf.
+func (h *Histogram) Observe(v float64) {
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	for {
-		old := hs.s.sum.Load()
+		old := h.sum.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if hs.s.sum.CompareAndSwap(old, nw) {
+		if h.sum.CompareAndSwap(old, nw) {
 			return
 		}
 	}
@@ -86,23 +56,18 @@ type HistogramSnapshot struct {
 	Count  int64
 }
 
-// Snapshot merges the shards into one view. Under concurrent observation
-// the snapshot is approximate (each slot read is atomic, the set is not),
-// which is fine for scraping; quiescent reads are exact.
+// Snapshot reads the histogram. Under concurrent observation the snapshot
+// is approximate (each slot read is atomic, the set is not), which is fine
+// for scraping; quiescent reads are exact.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	snap := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.bounds)+1),
+		Sum:    math.Float64frombits(h.sum.Load()),
 	}
-	for si := range h.shards {
-		s := &h.shards[si]
-		for bi := range s.counts {
-			snap.Counts[bi] += s.counts[bi].Load()
-		}
-		snap.Sum += math.Float64frombits(s.sum.Load())
-	}
-	for _, c := range snap.Counts {
-		snap.Count += c
+	for i := range h.counts {
+		snap.Counts[i] = h.counts[i].Load()
+		snap.Count += snap.Counts[i]
 	}
 	return snap
 }

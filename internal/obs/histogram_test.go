@@ -26,7 +26,7 @@ func bruteBuckets(bounds []float64, vals []float64) (counts []int64, sum float64
 
 func TestHistogramAgainstBruteForce(t *testing.T) {
 	bounds := []float64{0.001, 0.01, 0.1, 1, 10}
-	h := newHistogram(4, bounds)
+	h := newHistogram(bounds)
 	rng := rand.New(rand.NewSource(42))
 	vals := make([]float64, 0, 5000)
 	for i := 0; i < 5000; i++ {
@@ -42,7 +42,7 @@ func TestHistogramAgainstBruteForce(t *testing.T) {
 			v = -rng.Float64() // below the first bound
 		}
 		vals = append(vals, v)
-		h.Shard(i).Observe(v) // spray across shards; merge must not care
+		h.Observe(v)
 	}
 	wantCounts, wantSum := bruteBuckets(bounds, vals)
 	snap := h.Snapshot()
@@ -60,35 +60,13 @@ func TestHistogramAgainstBruteForce(t *testing.T) {
 }
 
 func TestHistogramBoundaryInclusive(t *testing.T) {
-	h := newHistogram(1, []float64{1, 2})
+	h := newHistogram([]float64{1, 2})
 	h.Observe(1) // le="1" bucket, not le="2"
 	h.Observe(2)
 	h.Observe(2.0000001)
 	snap := h.Snapshot()
 	if snap.Counts[0] != 1 || snap.Counts[1] != 1 || snap.Counts[2] != 1 {
 		t.Fatalf("counts = %v, want [1 1 1]", snap.Counts)
-	}
-}
-
-func TestHistogramShardMerge(t *testing.T) {
-	// Observing the same value set through different shard layouts must
-	// snapshot identically (bucket counts exactly, sum exactly here since
-	// quarter multiples are binary-exact and the sums stay small).
-	a := newHistogram(8, DefTimeBuckets)
-	b := newHistogram(8, DefTimeBuckets)
-	for i := 0; i < 1000; i++ {
-		v := float64(i%13) * 0.25
-		a.Shard(0).Observe(v)
-		b.Shard(i).Observe(v)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if sa.Count != sb.Count || sa.Sum != sb.Sum {
-		t.Fatalf("count/sum differ: %d/%v vs %d/%v", sa.Count, sa.Sum, sb.Count, sb.Sum)
-	}
-	for i := range sa.Counts {
-		if sa.Counts[i] != sb.Counts[i] {
-			t.Fatalf("bucket %d differs: %d vs %d", i, sa.Counts[i], sb.Counts[i])
-		}
 	}
 }
 

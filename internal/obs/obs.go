@@ -5,27 +5,17 @@
 //
 // The package is dependency-free (standard library only) so every other
 // internal package -- including the LP/MIP solver stack -- can feed it
-// without import cycles. Two properties matter for the simulator:
-//
-//   - The frame loop must not pay for metrics it does not emit. Handles
-//     (*Counter etc.) are resolved from the registry once at simulation
-//     start; the hot path performs a single atomic add per event with no
-//     map lookups and no allocation. When metrics are disabled the
-//     simulator holds no handles at all and the loop is byte-identical to
-//     the uninstrumented one.
-//
-//   - Parallel workers must not serialize on shared cache lines. Counters
-//     and histograms are sharded: each worker owns a cache-line-padded
-//     slot (Counter.Shard / Histogram.Shard) and readers sum the shards.
-//     Integer adds commute, so per-metric totals are identical for any
-//     worker count -- the same determinism argument as the simulator's
-//     per-job accumulators.
+// without import cycles. The frame loop must not pay for metrics it does
+// not emit: handles (*Counter etc.) are resolved from the registry once at
+// simulation start, so an update is a single atomic add with no map
+// lookups and no allocation. When metrics are disabled the simulator holds
+// no handles at all and the loop is byte-identical to the uninstrumented
+// one.
 package obs
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -74,26 +64,15 @@ type metricEntry struct {
 // concurrent use; registration is get-or-create, so independent components
 // may ask for the same series and share it.
 type Registry struct {
-	shards int
-
 	mu    sync.Mutex
 	byKey map[string]*metricEntry
 	order []*metricEntry
 }
 
-// NewRegistry returns an empty registry. The shard count is fixed at
-// creation: the next power of two >= GOMAXPROCS, capped at 64.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	n := runtime.GOMAXPROCS(0)
-	s := 1
-	for s < n && s < 64 {
-		s <<= 1
-	}
-	return &Registry{shards: s, byKey: make(map[string]*metricEntry)}
+	return &Registry{byKey: make(map[string]*metricEntry)}
 }
-
-// NumShards returns the registry's fixed shard count.
-func (r *Registry) NumShards() int { return r.shards }
 
 // seriesKey builds the map key for a name + sorted label set.
 func seriesKey(name string, labels []Label) string {
@@ -160,7 +139,7 @@ func (r *Registry) register(name, help string, labels []Label, kind metricKind, 
 // Counter returns (creating on first use) the counter series name{labels}.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	e := r.register(name, help, labels, kindCounter, func(e *metricEntry) {
-		e.c = newCounter(r.shards)
+		e.c = &Counter{}
 	})
 	return e.c
 }
@@ -178,7 +157,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // +Inf bucket is appended). Buckets are fixed at first registration.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	e := r.register(name, help, labels, kindHistogram, func(e *metricEntry) {
-		e.h = newHistogram(r.shards, buckets)
+		e.h = newHistogram(buckets)
 	})
 	return e.h
 }
@@ -244,62 +223,24 @@ func (r *Registry) sorted() []*metricEntry {
 
 // ---- Counter ----
 
-// counterShard is one cache-line-padded accumulation slot. The padding
-// stops two workers' shards from sharing a line (false sharing), which is
-// what keeps enabled-mode overhead flat as worker count grows.
-type counterShard struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a sharded monotonic counter. Add/Inc on the bare counter use
-// shard 0 and suit unsharded callers (the solver stack, setup code);
-// per-worker hot loops resolve a Shard once and add to their own slot.
+// Counter is a monotonic counter: one atomic integer.
 type Counter struct {
-	shards []counterShard
+	v atomic.Int64
 }
 
-func newCounter(shards int) *Counter {
-	return &Counter{shards: make([]counterShard, shards)}
-}
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Add increments the counter by n (shard 0).
-func (c *Counter) Add(n int64) { c.shards[0].v.Add(n) }
+// Inc increments the counter by 1.
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Inc increments the counter by 1 (shard 0).
-func (c *Counter) Inc() { c.shards[0].v.Add(1) }
-
-// Value returns the sum over all shards.
-func (c *Counter) Value() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}
-
-// Shard returns worker i's private view of the counter. Indices wrap, so
-// any job index is valid.
-func (c *Counter) Shard(i int) CounterShard {
-	return CounterShard{v: &c.shards[i&(len(c.shards)-1)].v}
-}
-
-// CounterShard is a pre-resolved, cache-line-private counter slot: the
-// frame loop's handle. The zero value is unusable; obtain one via Shard.
-type CounterShard struct {
-	v *atomic.Int64
-}
-
-// Add increments the shard by n.
-func (s CounterShard) Add(n int64) { s.v.Add(n) }
-
-// Inc increments the shard by 1.
-func (s CounterShard) Inc() { s.v.Add(1) }
+// Value returns the counter's total.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // ---- Gauge ----
 
-// Gauge is a float64 gauge. Unlike counters it is not sharded: gauges are
-// set from setup/teardown paths or at coarse intervals, never per event.
+// Gauge is a float64 gauge, set from setup/teardown paths or at coarse
+// intervals, never per event.
 type Gauge struct {
 	bits atomic.Uint64
 }

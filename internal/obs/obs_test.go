@@ -46,9 +46,9 @@ func TestInvalidNamePanics(t *testing.T) {
 	r.Counter("bad name", "")
 }
 
-// TestCounterConcurrent hammers one counter from many goroutines through
-// every shard; run under -race this is the data-race gate, and the total
-// must be exact regardless of interleaving.
+// TestCounterConcurrent hammers one counter from many goroutines; run
+// under -race this is the data-race gate, and the total must be exact
+// regardless of interleaving.
 func TestCounterConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits_total", "")
@@ -59,15 +59,13 @@ func TestCounterConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			sh := c.Shard(w)
 			for i := 0; i < perG; i++ {
-				sh.Inc()
+				c.Inc()
 			}
-			// Mix in unsharded adds too.
 			c.Add(1)
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got, want := c.Value(), int64(workers*(perG+1)); got != want {
@@ -91,22 +89,6 @@ func TestGaugeSetMaxConcurrent(t *testing.T) {
 	wg.Wait()
 	if g.Value() != 7999 {
 		t.Fatalf("SetMax high-water mark = %v, want 7999", g.Value())
-	}
-}
-
-func TestShardTotalsAreOrderIndependent(t *testing.T) {
-	// The determinism argument the simulator relies on: integer adds
-	// commute across shards, so any worker->shard assignment yields the
-	// same total.
-	r := NewRegistry()
-	a := r.Counter("a_total", "")
-	b := r.Counter("b_total", "")
-	for i := 0; i < 100; i++ {
-		a.Shard(i % 3).Add(int64(i))
-		b.Shard(i % 7).Add(int64(i))
-	}
-	if a.Value() != b.Value() {
-		t.Fatalf("shard layout changed the total: %d vs %d", a.Value(), b.Value())
 	}
 }
 

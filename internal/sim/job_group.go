@@ -154,7 +154,7 @@ func newGroupJob(st *runState, gi int, grp constellation.Group, events []Event) 
 // "Simulation wiring").
 func newFramePipeline(j *groupJob) *core.ShardedPipeline {
 	cfg := &j.st.cfg
-	jm := j.st.met
+	m := j.st.met
 	sp := &core.ShardedPipeline{
 		Template: core.Pipeline{
 			Detector:      cfg.Detector,
@@ -172,12 +172,12 @@ func newFramePipeline(j *groupJob) *core.ShardedPipeline {
 			RecallOverride: cfg.RecallOverride,
 			// Both the metrics layer and the flight recorder consume the
 			// per-stage wall measurements.
-			Timed: jm != nil || j.st.fb != nil,
+			Timed: j.st.timed(),
 		},
 		MaxShards: 1,
 	}
-	if jm != nil {
-		sp.Template.ClusterOpts.MIP.Metrics = jm.m.solverCluster
+	if m != nil {
+		sp.Template.ClusterOpts.MIP.Metrics = m.solverCluster
 	}
 	if cfg.RecaptureDedup {
 		sp.Template.PriorityScale = j.recapturePriority
@@ -200,8 +200,8 @@ func newFramePipeline(j *groupJob) *core.ShardedPipeline {
 		// Frame-rate solves: bound the MIP search tightly; the polish pass
 		// and the greedy fallback keep truncated solves near-optimal.
 		opts := mip.Options{TimeLimit: 500 * time.Millisecond, MaxNodes: 200}
-		if jm != nil {
-			opts.Metrics = jm.m.solverSched
+		if m != nil {
+			opts.Metrics = m.solverSched
 		}
 		sp.NewScheduler = func() sched.Scheduler {
 			ilp := sched.ILP{MIP: opts}
@@ -254,9 +254,9 @@ func (j *groupJob) advanceSteppers() {
 	}
 }
 
-// applyEvent performs one fault's structural changes. Counters (Result
-// fields, metrics) are suppressed while the event cursor is below the
-// snapshot's watermark: a restore replays structure, not accounting.
+// applyEvent performs one fault's structural changes. Counts are
+// suppressed while the event cursor is below the snapshot's watermark: a
+// restore replays structure, not accounting.
 func (j *groupJob) applyEvent(ev Event) {
 	if j.dark {
 		// Several events can land on the same boundary; once the group is
@@ -267,7 +267,6 @@ func (j *groupJob) applyEvent(ev Event) {
 	}
 	st := j.st
 	count := j.evCursor >= j.evReplayTo
-	jm := st.met
 	switch ev.Kind {
 	case EventFollowerFail:
 		if j.alive[ev.Follower] {
@@ -308,22 +307,11 @@ func (j *groupJob) applyEvent(ev Event) {
 			j.env.GroundSpeedMS = nl.Prop.GroundSpeedMS()
 			if count {
 				st.res.LeaderReelections++
-				if jm != nil {
-					jm.leaderReelections.Inc()
-				}
 			}
 		}
 	}
 	if count {
-		st.res.EventsApplied++
-		if jm != nil {
-			switch ev.Kind {
-			case EventFollowerFail:
-				jm.eventsFollowerFail.Inc()
-			case EventLeaderFail:
-				jm.eventsLeaderFail.Inc()
-			}
-		}
+		st.countEvent(ev.Kind)
 		if st.fb != nil {
 			// Pin a synthetic record: fault events must be retrievable
 			// from the flight dump long after the ring has churned, and
@@ -343,21 +331,21 @@ func (j *groupJob) applyEvent(ev Event) {
 func (j *groupJob) run(untilS float64) error {
 	st := j.st
 	cfg := &st.cfg
-	jm := st.met
-	fb := st.fb
+	m := st.met
+	timed := st.timed()
 	for !j.dark && j.ts < untilS {
 		ts := j.ts
 		replay := j.frameIdx < j.skipTo
 		if j.frameIdx > 0 {
-			if jm != nil && !replay && j.frameIdx&ephSampleMask == 0 {
+			if m != nil && !replay && j.frameIdx&ephSampleMask == 0 {
 				// Sampled ephemeris span: the advance costs about as much
 				// as the clock read, so 1-in-64 frames are timed and the
 				// ns total is scaled back up (histogram gets raw samples).
 				t0 := time.Now()
 				j.advanceSteppers()
 				d := int64(time.Since(t0))
-				jm.stageNS[stageEphemeris].Add(d << ephSampleShift)
-				jm.stageHist[stageEphemeris].Observe(float64(d) / 1e9)
+				m.stageNS[stageEphemeris].Add(d << ephSampleShift)
+				m.stageHist[stageEphemeris].Observe(float64(d) / 1e9)
 			} else {
 				j.advanceSteppers()
 			}
@@ -378,24 +366,15 @@ func (j *groupJob) run(untilS float64) error {
 			continue
 		}
 		st.res.Frames++
-		if jm != nil {
-			jm.frames.Inc()
-			if frameIdx&255 == 0 {
-				jm.m.progress.SetMax(ts / cfg.DurationS)
-			}
-		}
 		st.leaderB.Capture(1)
 		st.leaderB.Compute(j.computeS)
 		fq := j.frameQuery(frameIdx-1, ts)
-		st.countCandidates(queryFrame, fq.cands)
+		st.cnt[cntCandidates+countID(queryFrame)] += int64(fq.cands)
 		frame, idx, pts := fq.frame, fq.idx, fq.pts
 		if len(idx) == 0 {
 			continue
 		}
 		st.res.FramesWithTargets++
-		if jm != nil {
-			jm.framesWithTargets.Inc()
-		}
 		st.res.TargetsPerImage.Observe(len(idx))
 		for _, ci := range idx {
 			st.seen.set(ci)
@@ -422,9 +401,11 @@ func (j *groupJob) run(untilS float64) error {
 		st.scFols = fols
 		j.activeSlots = slots
 
-		var fstart time.Time
-		if fb != nil {
-			fstart = time.Now()
+		// A timed frame reads the clock four times: before the pipeline,
+		// around executeSchedule, and after accounting (recordFrame).
+		var t0, t1, t2 time.Time
+		if timed {
+			t0 = time.Now()
 		}
 		cframe := core.Frame{
 			Truth:  pts,
@@ -436,25 +417,7 @@ func (j *groupJob) run(untilS float64) error {
 		if err != nil {
 			return fmt.Errorf("sim: group %d frame %d: %w", j.gi, frameIdx, err)
 		}
-		recap := j.recap.Swap(0)
-		st.res.RecaptureSuppressed += int(recap)
-		if jm != nil {
-			jm.detections.Add(int64(len(fres.Detections)))
-			jm.clusters.Add(int64(len(fres.Clusters)))
-			jm.schedSolves.Inc()
-			jm.span(stageDetect, int64(fres.DetectWall))
-			jm.span(stageCluster, int64(fres.ClusterWall))
-			jm.span(stageSched, int64(fres.SchedWall))
-			if fres.Schedule.SolveStats.Fallback {
-				jm.schedFallbacks.Inc()
-			}
-			if fres.ClusterStats.Fallback {
-				jm.clusterFallbacks.Inc()
-			}
-			if recap > 0 {
-				jm.recaptureSuppressed.Add(recap)
-			}
-		}
+		st.res.RecaptureSuppressed += int(j.recap.Swap(0))
 		st.res.Detections += len(fres.Detections)
 		st.res.Clusters += len(fres.Clusters)
 		st.res.SchedSolves++
@@ -468,39 +431,30 @@ func (j *groupJob) run(untilS float64) error {
 		st.res.ClusterNodes += fres.ClusterStats.Nodes
 		st.res.ClusterIters += fres.ClusterStats.Iters
 		st.res.ClusterPivotWall += fres.ClusterStats.PivotWall
-		if j.computeS+fres.SchedWall.Seconds() > j.cadence {
+		if fres.Schedule.SolveStats.Fallback {
+			st.cnt[cntSchedFallbacks]++
+		}
+		if fres.ClusterStats.Fallback {
+			st.cnt[cntClusterFallbacks]++
+		}
+		missed := j.computeS+fres.SchedWall.Seconds() > j.cadence
+		if missed {
 			st.res.MissedDeadline++
-			if jm != nil {
-				jm.missedDeadlines.Inc()
-			}
 		}
 		if cfg.ValidateSchedules {
 			if err := validateAgainstPipeline(&fres, fols, j.env); err != nil {
 				return fmt.Errorf("sim: group %d frame %d: %w", j.gi, frameIdx, err)
 			}
 		}
-		var spanStart time.Time
-		capsBefore := st.res.Captures
-		if jm != nil || fb != nil {
-			spanStart = time.Now()
+		if timed {
+			t1 = time.Now()
 		}
 		j.executeSchedule(frame, tSched, &fres)
-		var execNS int64
-		if jm != nil || fb != nil {
-			execNS = int64(time.Since(spanStart))
-			spanStart = time.Now()
-		}
-		if jm != nil {
-			jm.span(stageExecute, execNS)
-			jm.captures.Add(int64(st.res.Captures - capsBefore))
+		if timed {
+			t2 = time.Now()
 		}
 		st.res.CrosslinkBytes += fres.CrosslinkBytes
 		st.leaderB.Crosslink(fres.CrosslinkBytes / comms.PaperCrosslink().RateBps)
-		if jm != nil {
-			// Wire bytes are integral by construction; the int64 counter
-			// keeps the total deterministic across worker counts.
-			jm.crosslinkBytes.Add(int64(fres.CrosslinkBytes))
-		}
 		if st.traceOn {
 			st.trace = append(st.trace, TraceRecord{
 				Group:        j.gi,
@@ -514,7 +468,7 @@ func (j *groupJob) run(untilS float64) error {
 				Captures:     fres.Schedule.NumCaptures(),
 				Covered:      len(fres.Schedule.CoveredIDs()),
 				SchedMS:      float64(fres.SchedWall.Microseconds()) / 1000,
-				Deadline:     j.computeS+fres.SchedWall.Seconds() <= j.cadence,
+				Deadline:     !missed,
 				SchedNodes:   fres.Schedule.SolveStats.Nodes,
 				SchedIters:   fres.Schedule.SolveStats.Iters,
 				SchedGap:     fres.Schedule.SolveStats.Gap,
@@ -522,12 +476,8 @@ func (j *groupJob) run(untilS float64) error {
 				ClusterIters: fres.ClusterStats.Iters,
 			})
 		}
-		if jm != nil {
-			jm.span(stageAccount, int64(time.Since(spanStart)))
-		}
-		if fb != nil {
-			j.recordFlight(fb, frameIdx, ts, &fres, len(idx), execNS,
-				int64(time.Since(spanStart)), int64(time.Since(fstart)))
+		if timed {
+			j.recordFrame(frameIdx, ts, &fres, len(idx), missed, t0, t1, t2, time.Now())
 		}
 	}
 	return nil
@@ -539,7 +489,7 @@ func (j *groupJob) run(untilS float64) error {
 func (j *groupJob) frameQuery(k int, ts float64) frameResult {
 	st := j.st
 	if s := j.ahead.slot(k); s != nil {
-		if fq, ok := s.take(st.met); ok {
+		if fq, ok := s.take(&st.cnt); ok {
 			return fq
 		}
 	}
@@ -547,38 +497,53 @@ func (j *groupJob) frameQuery(k int, ts float64) frameResult {
 	return st.q.frameQuery(&j.fp, j.lead, ts)
 }
 
-// recordFlight assembles the frame's span tree from the stage durations
-// the pipeline already measured (Template.Timed is on whenever a recorder
-// is attached) and offers it to the flight recorder. Stages are laid out at
-// sequential offsets; each solver stage nests a solve span carrying the
-// LP pivot wall and the B&B node / simplex iteration counts. Anomaly
-// bits come from the per-solve stats deltas, so a slow or degraded frame
-// is pinned with the evidence attached.
-func (j *groupJob) recordFlight(fb *obs.FrameBuilder, frameIdx int, ts float64, fres *core.Result, targets int, execNS, acctNS, totalNS int64) {
+// recordFrame feeds a timed frame's stage walls to both sinks, the
+// registry's stage series and the flight recorder, from one set of clock
+// reads: t0 before the pipeline, t1 and t2 around executeSchedule, t3
+// after accounting. The pipeline measured detect, cluster and sched itself
+// (Template.Timed is on whenever a frame is timed). The flight span tree
+// lays the stages out at sequential offsets; each solver stage nests a
+// solve span carrying the LP pivot wall and the B&B node / simplex
+// iteration counts. Anomaly bits come from the per-solve stats deltas, so
+// a slow or degraded frame is pinned with the evidence attached.
+func (j *groupJob) recordFrame(frameIdx int, ts float64, fres *core.Result, targets int, missed bool, t0, t1, t2, t3 time.Time) {
+	ns := [numStages]int64{
+		stageDetect:  int64(fres.DetectWall),
+		stageCluster: int64(fres.ClusterWall),
+		stageSched:   int64(fres.SchedWall),
+		stageExecute: int64(t2.Sub(t1)),
+		stageAccount: int64(t3.Sub(t2)),
+	}
+	if m := j.st.met; m != nil {
+		for s := stageDetect; s < numStages; s++ {
+			m.span(s, ns[s])
+		}
+	}
+	fb := j.st.fb
+	if fb == nil {
+		return
+	}
 	fb.Start(j.gi, frameIdx, ts)
 	off := int64(0)
-	d := int64(fres.DetectWall)
-	fb.Add(0, obs.SpanStage, "detect", off, d, int64(targets), int64(len(fres.Detections)))
-	off += d
-	d = int64(fres.ClusterWall)
-	cl := fb.Add(0, obs.SpanStage, "cluster", off, d, int64(len(fres.Detections)), int64(len(fres.Clusters)))
+	fb.Add(0, obs.SpanStage, stageNames[stageDetect], off, ns[stageDetect], int64(targets), int64(len(fres.Detections)))
+	off += ns[stageDetect]
+	cl := fb.Add(0, obs.SpanStage, stageNames[stageCluster], off, ns[stageCluster], int64(len(fres.Detections)), int64(len(fres.Clusters)))
 	cstats := &fres.ClusterStats
 	if cstats.Nodes > 0 || cstats.Iters > 0 {
 		fb.Add(cl, obs.SpanSolve, "cover-ilp", off, int64(cstats.PivotWall), int64(cstats.Nodes), int64(cstats.Iters))
 	}
-	off += d
-	d = int64(fres.SchedWall)
+	off += ns[stageCluster]
 	sstats := &fres.Schedule.SolveStats
 	name := sstats.Algorithm
 	if name == "" {
 		name = "sched"
 	}
-	sc := fb.Add(0, obs.SpanStage, "sched", off, d, int64(len(fres.Clusters)), int64(fres.Schedule.NumCaptures()))
+	sc := fb.Add(0, obs.SpanStage, stageNames[stageSched], off, ns[stageSched], int64(len(fres.Clusters)), int64(fres.Schedule.NumCaptures()))
 	fb.Add(sc, obs.SpanSolve, name, off, int64(sstats.PivotWall), int64(sstats.Nodes), int64(sstats.Iters))
-	off += d
-	fb.Add(0, obs.SpanStage, "execute", off, execNS, 0, 0)
-	off += execNS
-	fb.Add(0, obs.SpanStage, "account", off, acctNS, 0, 0)
+	off += ns[stageSched]
+	fb.Add(0, obs.SpanStage, stageNames[stageExecute], off, ns[stageExecute], 0, 0)
+	off += ns[stageExecute]
+	fb.Add(0, obs.SpanStage, stageNames[stageAccount], off, ns[stageAccount], 0, 0)
 
 	if sstats.Fallback {
 		fb.Anomaly(obs.AnomFallback)
@@ -592,10 +557,10 @@ func (j *groupJob) recordFlight(fb *obs.FrameBuilder, frameIdx int, ts float64, 
 	if sstats.Refactorizations+cstats.Refactorizations > 0 {
 		fb.Anomaly(obs.AnomRefactor)
 	}
-	if j.computeS+fres.SchedWall.Seconds() > j.cadence {
+	if missed {
 		fb.Anomaly(obs.AnomDeadline)
 	}
-	fb.Finish(totalNS)
+	fb.Finish(int64(t3.Sub(t0)))
 }
 
 // executeSchedule scores captures: a truth target counts as captured when
@@ -639,7 +604,9 @@ func (j *groupJob) executeSchedule(frame geo.TangentFrame, tSched float64, fres 
 			// their own buffers.
 			aim := frame.ToGeodetic(c.Aim)
 			disk := dataset.NewCap(aim, reach)
-			for _, ci := range st.candidatesNear(aim, reach, absT, queryCapture) {
+			cands := st.q.near(aim, reach, absT)
+			st.cnt[cntCandidates+countID(queryCapture)] += int64(len(cands))
+			for _, ci := range cands {
 				if !targets[ci].ActiveAt(absT) || tx.Outside(ci, absT, &disk) {
 					continue
 				}

@@ -69,22 +69,13 @@ func (j *stripJob) applyEvent(ev Event) {
 	j.darkAtS = j.ts
 	if count {
 		st.res.SatsFailed++
-		st.res.EventsApplied++
-		if jm := st.met; jm != nil {
-			switch ev.Kind {
-			case EventFollowerFail:
-				jm.eventsFollowerFail.Inc()
-			case EventLeaderFail:
-				jm.eventsLeaderFail.Inc()
-			}
-		}
+		st.countEvent(ev.Kind)
 	}
 	j.evCursor++
 }
 
 func (j *stripJob) run(untilS float64) error {
 	st := j.st
-	jm := st.met
 	for !j.dark && j.ts < untilS {
 		ts := j.ts
 		for j.evCursor < len(j.events) && j.events[j.evCursor].AtS <= ts {
@@ -103,24 +94,18 @@ func (j *stripJob) run(untilS float64) error {
 			continue
 		}
 		st.res.Frames++
-		if jm != nil {
-			jm.frames.Inc()
-		}
 		// Empty-frame fast path: most ocean/desert steps see no
 		// candidates, so the query probes the index around the cheap
 		// sub-point before computing the full state and tangent frame.
 		// Strip jobs get no lookahead: their loop is the query.
 		st.q.idx, st.q.pts = st.q.idx[:0], st.q.pts[:0]
 		fq := st.q.frameQuery(&j.fp, j.stp, ts)
-		st.countCandidates(queryFrame, fq.cands)
+		st.cnt[cntCandidates+countID(queryFrame)] += int64(fq.cands)
 		idx := fq.idx
 		if len(idx) == 0 {
 			continue
 		}
 		st.res.FramesWithTargets++
-		if jm != nil {
-			jm.framesWithTargets.Inc()
-		}
 		for _, ci := range idx {
 			st.seen.set(ci)
 			if j.highRes {

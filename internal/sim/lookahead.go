@@ -91,18 +91,16 @@ const spinLimit = 64
 
 // take returns the helper's result for the slot, waiting for it if the
 // helper is computing it, or false after claiming a free slot for the
-// loop to compute inline. jm, when set, counts a helper's result and the
-// time spent waiting for it.
-func (s *querySlot) take(jm *jobMetrics) (frameResult, bool) {
+// loop to compute inline. It counts a helper's result and the time spent
+// waiting for it into the job's counts cnt.
+func (s *querySlot) take(cnt *[numCounts]int64) (frameResult, bool) {
 	var start time.Time
 	for spins := 0; ; spins++ {
 		switch s.state.Load() {
 		case slotDone:
-			if jm != nil {
-				jm.framesAhead.Inc()
-				if !start.IsZero() {
-					jm.queryWaitNS.Add(int64(time.Since(start)))
-				}
+			cnt[cntFramesAhead]++
+			if !start.IsZero() {
+				cnt[cntQueryWaitNS] += int64(time.Since(start))
 			}
 			return s.res, true
 		case slotFree:
@@ -110,7 +108,7 @@ func (s *querySlot) take(jm *jobMetrics) (frameResult, bool) {
 				return frameResult{}, false
 			}
 		default:
-			if jm != nil && start.IsZero() {
+			if start.IsZero() {
 				start = time.Now()
 			}
 			if spins >= spinLimit {

@@ -27,63 +27,177 @@ var deterministicCounters = []string{
 	"eagleeye_crosslink_bytes_total",
 }
 
+// mirroredCounters are the published counters that each read one Result
+// field.
+var mirroredCounters = []struct {
+	name  string
+	field func(r *Result) int64
+}{
+	{"eagleeye_frames_total", func(r *Result) int64 { return int64(r.Frames) }},
+	{"eagleeye_frames_with_targets_total", func(r *Result) int64 { return int64(r.FramesWithTargets) }},
+	{"eagleeye_detections_total", func(r *Result) int64 { return int64(r.Detections) }},
+	{"eagleeye_clusters_total", func(r *Result) int64 { return int64(r.Clusters) }},
+	{"eagleeye_captures_total", func(r *Result) int64 { return int64(r.Captures) }},
+	{"eagleeye_sched_solves_total", func(r *Result) int64 { return int64(r.SchedSolves) }},
+	{"eagleeye_recapture_suppressed_total", func(r *Result) int64 { return int64(r.RecaptureSuppressed) }},
+	{"eagleeye_crosslink_bytes_total", func(r *Result) int64 { return int64(r.CrosslinkBytes) }},
+	{"eagleeye_missed_deadlines_total", func(r *Result) int64 { return int64(r.MissedDeadline) }},
+	{"eagleeye_leader_reelections_total", func(r *Result) int64 { return int64(r.LeaderReelections) }},
+}
+
+// TestMetricsMatchResult runs one scenario in one shot, and in Advance
+// windows that are not hour-aligned at Workers 1 and 4: after every
+// window each counter that mirrors a Result field must equal it, and at
+// the end the gauges, solver stacks and stage spans must be populated.
 func TestMetricsMatchResult(t *testing.T) {
-	w := polarWorld(1200, 7)
-	reg := obs.NewRegistry()
-	r := run(t, Config{
+	base := Config{
 		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 4},
-		App:           w, DurationS: 3 * 3600, Seed: 3,
-		RecaptureDedup: true, Metrics: reg,
-	})
-	checks := []struct {
-		name string
-		want int64
+		App:           polarWorld(1200, 7), DurationS: 3 * 3600, Seed: 3,
+		RecaptureDedup: true,
+	}
+	for _, c := range []struct {
+		name    string
+		workers int
+		windows []float64
 	}{
-		{"eagleeye_frames_total", int64(r.Frames)},
-		{"eagleeye_frames_with_targets_total", int64(r.FramesWithTargets)},
-		{"eagleeye_detections_total", int64(r.Detections)},
-		{"eagleeye_clusters_total", int64(r.Clusters)},
-		{"eagleeye_captures_total", int64(r.Captures)},
-		{"eagleeye_sched_solves_total", int64(r.SchedSolves)},
-		{"eagleeye_recapture_suppressed_total", int64(r.RecaptureSuppressed)},
-		{"eagleeye_crosslink_bytes_total", int64(r.CrosslinkBytes)},
-		{"eagleeye_missed_deadlines_total", int64(r.MissedDeadline)},
+		{"oneshot", 0, []float64{base.DurationS}},
+		{"windowed-w1", 1, []float64{1000, 2500.5, 3600 * 1.7, 9000, base.DurationS}},
+		{"windowed-w4", 4, []float64{1000, 2500.5, 3600 * 1.7, 9000, base.DurationS}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := base
+			cfg.Workers, cfg.Metrics = c.workers, reg
+			rn := mustRunner(t, cfg)
+			var r *Result
+			for _, w := range c.windows {
+				advance(t, rn, w)
+				r = result(t, rn)
+				for _, m := range mirroredCounters {
+					if got, want := reg.CounterValue(m.name), m.field(r); got != want {
+						t.Errorf("at %v s: %s = %d, Result says %d", w, m.name, got, want)
+					}
+				}
+			}
+			if r.Captures == 0 || r.Detections == 0 {
+				t.Fatal("degenerate run: no activity to check")
+			}
+			if got := reg.GaugeValue("eagleeye_targets_captured"); got != float64(r.HighResCaptured) {
+				t.Errorf("eagleeye_targets_captured = %v, Result says %d", got, r.HighResCaptured)
+			}
+			// Every cover of this sparse world fits the cover ILP.
+			if got := reg.CounterValue("eagleeye_cluster_fallbacks_total"); got != 0 {
+				t.Errorf("eagleeye_cluster_fallbacks_total = %d, want 0", got)
+			}
+			if got := reg.GaugeValue("eagleeye_sim_progress"); got != 1 {
+				t.Errorf("eagleeye_sim_progress = %v at end of run", got)
+			}
+			// The solver stack must have been exercised and fed both
+			// consumers' LP layers (exact values are limit-dependent,
+			// presence is not).
+			for _, solver := range []string{"sched", "cluster"} {
+				lbl := obs.Label{Key: "solver", Value: solver}
+				if reg.CounterValue("eagleeye_mip_solves_total", lbl) == 0 {
+					t.Errorf("no MIP solves recorded for %q", solver)
+				}
+				if reg.CounterValue("eagleeye_lp_iters_total", lbl) == 0 {
+					t.Errorf("no LP iterations recorded for %q", solver)
+				}
+			}
+			// Stage spans: every non-empty frame times detect/cluster/sched,
+			// so the nanosecond totals must be populated.
+			for _, stage := range stageNames {
+				lbl := obs.Label{Key: "stage", Value: stage}
+				if reg.CounterValue("eagleeye_stage_nanoseconds_total", lbl) == 0 {
+					t.Errorf("stage %q recorded no wall time", stage)
+				}
+			}
+		})
 	}
-	if r.Captures == 0 || r.Detections == 0 {
-		t.Fatal("degenerate run: no activity to check")
+}
+
+// TestMetricsAfterRestore pins the restore baseline: a runner restored
+// with a fresh registry counts only what it runs after the restore, so
+// after every window each counter equals the Result's growth since the
+// snapshot, through a follower failure that fires after it.
+func TestMetricsAfterRestore(t *testing.T) {
+	cfg := Config{
+		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 4},
+		App:           polarWorld(1200, 7), DurationS: 3 * 3600, Seed: 3,
+		RecaptureDedup: true,
+		Events:         []Event{{AtS: 7000, Kind: EventFollowerFail, Group: 0, Follower: 0}},
 	}
-	for _, c := range checks {
-		if got := reg.CounterValue(c.name); got != c.want {
-			t.Errorf("%s = %d, Result says %d", c.name, got, c.want)
+	src := mustRunner(t, cfg)
+	advance(t, src, 1.5*3600)
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	at := result(t, src)
+	if at.Frames == 0 || at.Captures == 0 {
+		t.Fatal("degenerate snapshot: nothing counted before it")
+	}
+
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	r, err := RestoreRunner(cfg, &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	var res *Result
+	for _, w := range []float64{6300, 7777, cfg.DurationS} {
+		advance(t, r, w)
+		res = result(t, r)
+		for _, c := range []struct {
+			name   string
+			labels []obs.Label
+			want   int
+		}{
+			{"eagleeye_frames_total", nil, res.Frames - at.Frames},
+			{"eagleeye_captures_total", nil, res.Captures - at.Captures},
+			{"eagleeye_detections_total", nil, res.Detections - at.Detections},
+			{"eagleeye_sched_solves_total", nil, res.SchedSolves - at.SchedSolves},
+			{"eagleeye_fault_events_total", []obs.Label{{Key: "kind", Value: "follower-fail"}}, res.EventsApplied - at.EventsApplied},
+		} {
+			if got := reg.CounterValue(c.name, c.labels...); got != int64(c.want) {
+				t.Errorf("at %v s: %s%v = %d, want the Result's growth since the snapshot, %d", w, c.name, c.labels, got, c.want)
+			}
 		}
 	}
-	if got := reg.GaugeValue("eagleeye_targets_captured"); got != float64(r.HighResCaptured) {
-		t.Errorf("eagleeye_targets_captured = %v, Result says %d", got, r.HighResCaptured)
+	if res.EventsApplied != 1 || at.EventsApplied != 0 {
+		t.Fatalf("the follower failure applied %d times before the snapshot and %d in all, want 0 and 1", at.EventsApplied, res.EventsApplied)
 	}
-	// Every cover of this sparse world fits the cover ILP.
-	if got := reg.CounterValue("eagleeye_cluster_fallbacks_total"); got != 0 {
-		t.Errorf("eagleeye_cluster_fallbacks_total = %d, want 0", got)
+}
+
+// TestFlightMatchesStageMetrics checks that the two sinks of a frame's
+// stage walls agree: over a run whose every pipeline frame fits the
+// flight ring, each stage's flight spans sum to its nanosecond counter.
+func TestFlightMatchesStageMetrics(t *testing.T) {
+	const ring = 1 << 14
+	reg := obs.NewRegistry()
+	flight := obs.NewFlightRecorder(obs.FlightConfig{Ring: ring})
+	run(t, Config{
+		Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 4},
+		App:           polarWorld(1200, 7), DurationS: 3 * 3600, Seed: 3, Workers: 4,
+		Metrics: reg, Flight: flight,
+	})
+	dump := flight.Snapshot()
+	if dump.Frames == 0 || dump.Frames > ring {
+		t.Fatalf("flight recorder took %d frames, want 1..%d", dump.Frames, ring)
 	}
-	if got := reg.GaugeValue("eagleeye_sim_progress"); got != 1 {
-		t.Errorf("eagleeye_sim_progress = %v at end of run", got)
-	}
-	// The solver stack must have been exercised and fed both consumers'
-	// LP layers (exact values are limit-dependent, presence is not).
-	for _, solver := range []string{"sched", "cluster"} {
-		lbl := obs.Label{Key: "solver", Value: solver}
-		if reg.CounterValue("eagleeye_mip_solves_total", lbl) == 0 {
-			t.Errorf("no MIP solves recorded for %q", solver)
+	sums := make(map[string]int64)
+	for _, f := range dump.Recent {
+		for _, s := range f.Spans {
+			if s.Kind == obs.SpanStage.String() {
+				sums[s.Name] += s.DurNS
+			}
 		}
-		if reg.CounterValue("eagleeye_lp_iters_total", lbl) == 0 {
-			t.Errorf("no LP iterations recorded for %q", solver)
-		}
 	}
-	// Stage spans: every non-empty frame times detect/cluster/sched, so
-	// the nanosecond totals must be populated.
-	for _, stage := range []string{"detect", "cluster", "sched", "execute", "account", "ephemeris"} {
-		lbl := obs.Label{Key: "stage", Value: stage}
-		if reg.CounterValue("eagleeye_stage_nanoseconds_total", lbl) == 0 {
-			t.Errorf("stage %q recorded no wall time", stage)
+	for _, stage := range stageNames[stageDetect:] {
+		got := reg.CounterValue("eagleeye_stage_nanoseconds_total", obs.Label{Key: "stage", Value: stage})
+		if got == 0 || sums[stage] != got {
+			t.Errorf("stage %q: flight spans sum to %d ns, counter reads %d", stage, sums[stage], got)
 		}
 	}
 }

@@ -106,13 +106,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.ahead.sc.index = r.index
 
-	newState := func(i int) *runState {
+	newState := func() *runState {
 		st := newRunState(cfg, cons, r.index)
-		if sm != nil {
-			// The shard view is keyed by job index, not worker: totals
-			// then sum identically however jobs land on workers.
-			st.met = sm.job(i)
-		}
+		st.met = sm
 		if cfg.Flight != nil {
 			// One builder (span arena) per job: Start/Add run on the
 			// job's goroutine, only the finished tree is offered under
@@ -124,11 +120,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 	switch cons.Config.Kind {
 	case constellation.LowResOnly, constellation.HighResOnly:
 		for si, sat := range cons.Sats {
-			r.jobs = append(r.jobs, newStripJob(newState(si), si, sat, perJob[si]))
+			r.jobs = append(r.jobs, newStripJob(newState(), si, sat, perJob[si]))
 		}
 	default:
 		for gi := range cons.Groups {
-			r.jobs = append(r.jobs, newGroupJob(newState(gi), gi, cons.Groups[gi], perJob[gi]))
+			r.jobs = append(r.jobs, newGroupJob(newState(), gi, cons.Groups[gi], perJob[gi]))
 		}
 	}
 	if sm != nil {
@@ -185,7 +181,9 @@ func (r *Runner) workerCount() int {
 // the current position is a no-op. The jobs run hour by hour (a job that
 // fails skips the later hours), and the index retires its epochs behind
 // each hour, so a long one-shot Advance holds no more index state than a
-// windowed run. While an hour's frames run, a helper goroutine builds the
+// windowed run. After each hour, or the shorter span that ends the
+// window, the runner publishes the jobs' counts to the registry (see
+// report). While an hour's frames run, a helper goroutine builds the
 // next hour's epoch, if the run has frames in that hour (it starts before
 // the configured duration), so epoch builds stay off the frame loops'
 // path, and another runs the group jobs' frame queries ahead of their
@@ -218,6 +216,7 @@ func (r *Runner) Advance(untilS float64) error {
 				to = untilS
 			}
 			r.runSpan(to, errs)
+			r.report(to)
 			// Every later frame, and every capture it schedules, is at or
 			// after to: index epochs that end by then are dead weight.
 			r.index.Retire(to)
@@ -263,6 +262,32 @@ func (r *Runner) runSpan(to float64, errs []error) {
 			errs[i] = r.jobs[i].run(to)
 		}
 	})
+}
+
+// report publishes the span that ended at to: it adds the growth of the
+// jobs' accumulators since the last report to the published counters and
+// moves the progress gauge to to. The span's jobs have returned, so their
+// accumulators are quiescent; summing them in job order allocates
+// nothing.
+func (r *Runner) report(to float64) {
+	if r.sm == nil {
+		return
+	}
+	for i, p := range published {
+		t := r.total(p.read)
+		r.sm.counters[i].Add(t - r.sm.reported[i])
+		r.sm.reported[i] = t
+	}
+	r.sm.progress.SetMax(to / r.cfg.DurationS)
+}
+
+// total sums read over the jobs' accumulators.
+func (r *Runner) total(read func(*runState) int64) int64 {
+	t := int64(0)
+	for _, j := range r.jobs {
+		t += read(j.state())
+	}
+	return t
 }
 
 // reportIndex adds the index's epoch-build totals since the last report

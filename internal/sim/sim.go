@@ -101,8 +101,10 @@ type Config struct {
 	// gauges (see internal/obs and the README metrics table). Handles
 	// are resolved once before the first frame; a nil registry leaves
 	// the frame loop byte-identical to the uninstrumented simulator.
-	// Integer event counters are deterministic across Workers; timing
-	// and solver-limit series are machine-dependent. The registry feeds
+	// Event counters advance at span ends (see Runner.Advance), not per
+	// frame: only stage timings are written per frame. Integer event
+	// counters are deterministic across Workers; timing and solver-limit
+	// series are machine-dependent. The registry feeds
 	// the default ILP scheduler's solver counters; a custom Scheduler
 	// must accept its own mip.Options.Metrics to be counted.
 	Metrics *obs.Registry
@@ -258,9 +260,14 @@ type runState struct {
 	trace        []TraceRecord
 	traceOn      bool
 	traceEmitted int64
-	// met is this job's pre-resolved metric shard view; nil (the common
-	// case) disables instrumentation at the cost of one branch per site.
-	met *jobMetrics
+	// cnt holds the job's counts that only the registry reports (see
+	// published); the runner publishes them with the Result's at span
+	// ends. They are not snapshotted: a restored runner reports only what
+	// it runs after the restore.
+	cnt [numCounts]int64
+	// met is the run's registry handles, nil (the common case) without a
+	// registry; the frame loop writes only its stage timings there.
+	met *simMetrics
 	// fb is this job's flight-recorder arena (cfg.Flight.Builder()); nil
 	// disables span recording the same way a nil met disables metrics.
 	fb *obs.FrameBuilder
@@ -378,19 +385,17 @@ func frameRadius(w, h float64) float64 {
 	return math.Hypot(w, h)/2 + 5e3
 }
 
-// candidatesNear refills the candidate scratch with index entries near p
-// (queryScratch.near) and, with metrics on, counts them toward query q's
-// candidates.
-func (st *runState) candidatesNear(p geo.LatLon, radiusM, ts float64, q queryID) []int32 {
-	cands := st.q.near(p, radiusM, ts)
-	st.countCandidates(q, len(cands))
-	return cands
-}
+// timed reports whether the job's frames are timed: whether a registry
+// or a flight recorder takes their stage timings.
+func (st *runState) timed() bool { return st.met != nil || st.fb != nil }
 
-// countCandidates adds n to query q's candidates when metrics are on.
-func (st *runState) countCandidates(q queryID, n int) {
-	if st.met != nil {
-		st.met.candidates[q].Add(int64(n))
+// countEvent counts one applied fault event of kind k.
+func (st *runState) countEvent(k EventKind) {
+	st.res.EventsApplied++
+	if k == EventLeaderFail {
+		st.cnt[cntLeaderFails]++
+	} else {
+		st.cnt[cntFollowerFails]++
 	}
 }
 

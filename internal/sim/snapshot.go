@@ -483,6 +483,11 @@ func RestoreRunner(cfg Config, src io.Reader) (*Runner, error) {
 	}
 	r.nowS = nowS
 	if r.sm != nil {
+		// The run that took the snapshot counted the restored totals: mark
+		// them reported, so this runner reports only what it runs.
+		for i, p := range published {
+			r.sm.reported[i] = r.total(p.read)
+		}
 		r.sm.checkpointRestores.Inc()
 	}
 	ok = true
