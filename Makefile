@@ -25,14 +25,17 @@ tier1: build vet race
 # the warm/cold and sparse/dense differentials hold (fuzz seeds), and the
 # dense-simplex kernels, incremental pricing and polish match the code
 # they replaced. The moving-target index matches a full-set index (sweep,
-# order, keys, concurrent first touch, prefetched builds racing sweeps and
-# Retire, ten times over), its sweeps keep no target past the
-# extrapolation bound, and every query walks each row of its band once;
-# the runner prefetches only epochs its frames reach, the frame-query
-# lookahead leaves results, traces and candidate totals unchanged (ten
-# times over, through a leader re-election at the first frame), a
-# re-elected leader stands at the group's frame time, and the moving-world
-# runs match their golden. Destination, ToLocal, the actuation bisection,
+# order, keys, prefetched builds racing sweeps and Retire, and concurrent
+# first touch, where a prefetch, queries and Outside race to the first
+# reach of each course group, ten times over each), its sweeps keep no
+# target past the extrapolation bound, and every query walks each row of
+# its band once. Its polar list and epochs equal those of every course,
+# and a run computes the courses of the hours it reaches: 20,124 of the
+# 55,196 airplanes in 1 h, all of them in 24 h. The runner prefetches
+# only epochs its frames reach, the frame-query lookahead leaves results,
+# traces and candidate totals unchanged (ten times over, through a leader
+# re-election at the first frame), a re-elected leader stands at the
+# group's frame time, and the moving-world runs match their golden. Destination, ToLocal, the actuation bisection,
 # the windowed arrival and the detector RNG match their oracles bit for
 # bit, and the generated worlds and strip snapshots their golden hashes.
 # The metric counters equal the Result after every window (one-shot,
@@ -56,6 +59,7 @@ race-contracts:
 		TestTimedIndexConcurrentFirstTouch TestTimedIndexKeysFewTargets \
 		TestPoleCourseKeysTopRow TestNearVisitsEachRowOnce TestTimedIndexSweepTight \
 		TestTimedIndexPrefetch TestRunnerPrefetchHorizon TestFrameLookaheadIdentity FuzzIngest \
+		TestTimedIndexCoursesDifferential TestRunnerCoursesPerReachedHour \
 		TestFilterInFramePrefilterSound TestExecutePrefilterSound \
 		TestDestinationBitIdentical TestToLocalBitIdentical TestActuationTimeBisectionBitIdentical \
 		TestArrivalBitIdentical FuzzArrivalDifferential TestLeaderFailAtStart TestSnapshotBytesGolden \
@@ -70,7 +74,7 @@ race-contracts:
 			|| { echo "race-contracts: $$n matches no test in" $$pkgs; exit 1; }; \
 	done; \
 	$(GO) test -race -count=1 -run "$$(echo $$names | tr ' ' '|')" $$pkgs
-	$(GO) test -race -count=10 -run '^TestTimedIndexPrefetch$$' ./internal/dataset
+	$(GO) test -race -count=10 -run '^(TestTimedIndexPrefetch|TestTimedIndexConcurrentFirstTouch)$$' ./internal/dataset
 	$(GO) test -race -count=10 -run '^TestFrameLookaheadIdentity$$' ./internal/sim
 
 bench:

@@ -90,9 +90,10 @@ type region struct {
 	weight    float64
 }
 
-// sampleClustered draws n positions from a mixture of the regions plus a
-// uniform background fraction.
-func sampleClustered(rng *rand.Rand, n int, regions []region, backgroundFrac float64, maxAbsLat float64) []geo.LatLon {
+// sampleClustered fills the positions of targets, in order, from a
+// mixture of the regions plus a uniform background fraction. It writes
+// them in place, so a generator allocates its targets once.
+func sampleClustered(rng *rand.Rand, targets []Target, regions []region, backgroundFrac float64, maxAbsLat float64) {
 	totalW := 0.0
 	// lonDiv[k] widens region k's longitude spread by 1/cos(latitude),
 	// floored at 0.2 so polar regions stay bounded.
@@ -101,15 +102,15 @@ func sampleClustered(rng *rand.Rand, n int, regions []region, backgroundFrac flo
 		totalW += r.weight
 		lonDiv[k] = math.Max(0.2, math.Cos(geo.Deg2Rad(r.lat)))
 	}
-	out := make([]geo.LatLon, 0, n)
-	for len(out) < n {
+	for n := 0; n < len(targets); {
 		if rng.Float64() < backgroundFrac {
 			// Uniform-over-sphere background, clamped in latitude.
 			lat := geo.Rad2Deg(math.Asin(2*rng.Float64() - 1))
 			if math.Abs(lat) > maxAbsLat {
 				continue
 			}
-			out = append(out, geo.LatLon{Lat: lat, Lon: rng.Float64()*360 - 180}.Normalize())
+			targets[n].Pos = geo.LatLon{Lat: lat, Lon: rng.Float64()*360 - 180}.Normalize()
+			n++
 			continue
 		}
 		// Pick a region by weight.
@@ -128,9 +129,9 @@ func sampleClustered(rng *rand.Rand, n int, regions []region, backgroundFrac flo
 		if math.Abs(lat) > maxAbsLat {
 			continue
 		}
-		out = append(out, geo.LatLon{Lat: lat, Lon: lon}.Normalize())
+		targets[n].Pos = geo.LatLon{Lat: lat, Lon: lon}.Normalize()
+		n++
 	}
-	return out
 }
 
 // value draws a detection-confidence-like priority in (0.5, 1].
@@ -159,10 +160,11 @@ func Ships(seed int64) *Set {
 		{lat: 57, lon: -3, spreadDeg: 3, weight: 1},     // North Atlantic
 		{lat: 12, lon: 45, spreadDeg: 2, weight: 1},     // Gulf of Aden
 	}
-	pts := sampleClustered(rng, ShipCount, lanes, 0.15, 70)
-	s := &Set{Name: "ships", Targets: make([]Target, 0, len(pts))}
-	for i, p := range pts {
-		s.Targets = append(s.Targets, Target{ID: i, Pos: p, Value: value(rng)})
+	s := &Set{Name: "ships", Targets: make([]Target, ShipCount)}
+	sampleClustered(rng, s.Targets, lanes, 0.15, 70)
+	for i := range s.Targets {
+		t := &s.Targets[i]
+		t.ID, t.Value = i, value(rng)
 	}
 	return s
 }
@@ -187,29 +189,23 @@ func Airplanes(seed int64) *Set {
 		{lat: -25, lon: 135, spreadDeg: 6, weight: 1}, // Australia
 		{lat: -15, lon: -55, spreadDeg: 6, weight: 1}, // South America
 	}
-	pts := sampleClustered(rng, AirplaneCount, corridors, 0.1, 72)
-	s := &Set{Name: "airplanes", Moving: true, Targets: make([]Target, 0, len(pts))}
+	s := &Set{Name: "airplanes", Moving: true, Targets: make([]Target, AirplaneCount)}
+	sampleClustered(rng, s.Targets, corridors, 0.1, 72)
 	const day = 86400.0
-	for i, p := range pts {
-		appear := 0.0
-		vanish := 0.0
+	for i := range s.Targets {
+		t := &s.Targets[i]
+		t.ID = i
 		// Two thirds of flights are airborne part of the day only.
 		if rng.Float64() < 0.67 {
-			appear = rng.Float64() * day * 0.8
-			vanish = appear + 1800 + rng.Float64()*6*3600 // 0.5-6.5 h legs
-			if vanish > day {
-				vanish = day
+			t.AppearS = rng.Float64() * day * 0.8
+			t.VanishS = t.AppearS + 1800 + rng.Float64()*6*3600 // 0.5-6.5 h legs
+			if t.VanishS > day {
+				t.VanishS = day
 			}
 		}
-		s.Targets = append(s.Targets, Target{
-			ID:         i,
-			Pos:        p,
-			SpeedMS:    180 + rng.Float64()*120, // 180-300 m/s ground speed
-			HeadingDeg: rng.Float64() * 360,
-			Value:      value(rng),
-			AppearS:    appear,
-			VanishS:    vanish,
-		})
+		t.SpeedMS = 180 + rng.Float64()*120 // 180-300 m/s ground speed
+		t.HeadingDeg = rng.Float64() * 360
+		t.Value = value(rng)
 	}
 	return s
 }
@@ -220,10 +216,11 @@ const (
 	LakeCountLarge = 1410999 // lakes of 0.1-10 km^2
 )
 
-// Lakes generates a lake-monitoring workload with count lakes of areas in
-// [minKM2, maxKM2], clustered in the world's lake districts (the Canadian
-// shield, Scandinavia and Siberia dominate real lake inventories).
-func Lakes(seed int64, count int, minKM2, maxKM2 float64) *Set {
+// Lakes generates a lake-monitoring workload named name with count lakes
+// of areas in [minKM2, maxKM2], clustered in the world's lake districts
+// (the Canadian shield, Scandinavia and Siberia dominate real lake
+// inventories).
+func Lakes(seed int64, name string, count int, minKM2, maxKM2 float64) *Set {
 	rng := rand.New(rand.NewSource(seed))
 	districts := []region{
 		{lat: 58, lon: -95, spreadDeg: 9, weight: 4},   // Canadian shield
@@ -236,12 +233,11 @@ func Lakes(seed int64, count int, minKM2, maxKM2 float64) *Set {
 		{lat: 30, lon: 90, spreadDeg: 5, weight: 0.7},  // Tibetan plateau
 		{lat: -40, lon: -72, spreadDeg: 4, weight: 0.5},
 	}
-	pts := sampleClustered(rng, count, districts, 0.08, 72)
-	name := fmt.Sprintf("lakes-%dk", count/1000)
-	s := &Set{Name: name, Targets: make([]Target, 0, len(pts))}
+	s := &Set{Name: name, Targets: make([]Target, count)}
+	sampleClustered(rng, s.Targets, districts, 0.08, 72)
 	// Lake areas follow a power law (many small, few large).
 	alpha := 1.9
-	for i, p := range pts {
+	for i := range s.Targets {
 		u := rng.Float64()
 		area := minKM2 * math.Pow(math.Pow(maxKM2/minKM2, 1-alpha)*u+(1-u), 1/(1-alpha))
 		if area < minKM2 {
@@ -250,16 +246,19 @@ func Lakes(seed int64, count int, minKM2, maxKM2 float64) *Set {
 		if area > maxKM2 {
 			area = maxKM2
 		}
-		s.Targets = append(s.Targets, Target{ID: i, Pos: p, Value: value(rng), AreaKM2: area})
+		t := &s.Targets[i]
+		t.ID, t.Value, t.AreaKM2 = i, value(rng), area
 	}
 	return s
 }
 
 // LakesSmallScenario returns the 166,588-lake scenario (1-10 km^2).
-func LakesSmallScenario(seed int64) *Set { return Lakes(seed, LakeCountSmall, 1, 10) }
+func LakesSmallScenario(seed int64) *Set { return Lakes(seed, "lakes-166k", LakeCountSmall, 1, 10) }
 
 // LakesLargeScenario returns the 1,410,999-lake scenario (0.1-10 km^2).
-func LakesLargeScenario(seed int64) *Set { return Lakes(seed, LakeCountLarge, 0.1, 10) }
+func LakesLargeScenario(seed int64) *Set {
+	return Lakes(seed, "lakes-1.4m", LakeCountLarge, 0.1, 10)
+}
 
 // OilTankFarmCount approximates the tank-farm sites represented in the
 // Kaggle imagery dataset (10,000 images around industrial clusters).
@@ -279,10 +278,11 @@ func OilTanks(seed int64) *Set {
 		{lat: 35.5, lon: 139.8, spreadDeg: 1, weight: 1},   // Tokyo Bay
 		{lat: 23, lon: 113.5, spreadDeg: 1.5, weight: 1},   // Pearl River
 	}
-	pts := sampleClustered(rng, OilTankFarmCount, hubs, 0.05, 60)
-	s := &Set{Name: "oiltanks", Targets: make([]Target, 0, len(pts))}
-	for i, p := range pts {
-		s.Targets = append(s.Targets, Target{ID: i, Pos: p, Value: value(rng)})
+	s := &Set{Name: "oiltanks", Targets: make([]Target, OilTankFarmCount)}
+	sampleClustered(rng, s.Targets, hubs, 0.05, 60)
+	for i := range s.Targets {
+		t := &s.Targets[i]
+		t.ID, t.Value = i, value(rng)
 	}
 	return s
 }

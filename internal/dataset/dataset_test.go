@@ -5,7 +5,9 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"eagleeye/internal/geo"
 )
@@ -75,7 +77,7 @@ func TestActiveAt(t *testing.T) {
 }
 
 func TestLakesScenarios(t *testing.T) {
-	small := Lakes(1, 5000, 1, 10)
+	small := Lakes(1, "lakes-5k", 5000, 1, 10)
 	if err := small.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +231,52 @@ func TestByName(t *testing.T) {
 	}
 	if len(StandardNames()) != 4 {
 		t.Error("want 4 standard datasets")
+	}
+}
+
+// TestStandardNamesRoundTrip: every standard dataset, and oiltanks, is
+// named by the name ByName takes, so a Result, a CLI line or a server
+// response names a dataset Generator accepts. lakes-1.4m once named
+// itself lakes-1410k. lakes-1.4m runs outside -short.
+func TestStandardNamesRoundTrip(t *testing.T) {
+	for _, name := range append(StandardNames(), "oiltanks") {
+		if name == "lakes-1.4m" && testing.Short() {
+			continue
+		}
+		s, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name != name {
+			t.Errorf("ByName(%q) returns a set named %q", name, s.Name)
+		}
+	}
+}
+
+// TestGeneratorAllocations: a generator allocates its targets once, with
+// no intermediate copy of their positions. One generation may allocate
+// the target slice plus 64 KiB for the generator's source, regions and
+// set. lakes-1.4m runs outside -short.
+func TestGeneratorAllocations(t *testing.T) {
+	for _, name := range []string{"ships", "airplanes", "oiltanks", "lakes-166k", "lakes-1.4m"} {
+		if name == "lakes-1.4m" && testing.Short() {
+			continue
+		}
+		gen, err := Generator(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := gen(1)
+		runtime.ReadMemStats(&after)
+		limit := uint64(len(s.Targets))*uint64(unsafe.Sizeof(Target{})) + 64<<10
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > limit {
+			t.Errorf("%s: generating %d targets allocated %d bytes, limit %d", name, len(s.Targets), got, limit)
+		}
+		t.Logf("%s: %d targets, %d bytes", name, len(s.Targets), got)
 	}
 }
 

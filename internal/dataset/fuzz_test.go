@@ -109,7 +109,10 @@ func FuzzShardTileNearDifferential(f *testing.F) {
 // FuzzNearConsistency drives the grid index with arbitrary query points,
 // radii, and cell sizes, checking the three-way invariant NearInto ≡ Near
 // ≡ brute force: both query paths agree element-for-element, no candidate
-// is reported twice, and no in-radius target is missed.
+// is reported twice, and no in-radius target is missed. The same targets
+// on courses, some starting at or near a pole or at a NaN latitude, must
+// give a moving-set index whose polar list and epochs equal those of
+// every course (checkCourses).
 func FuzzNearConsistency(f *testing.F) {
 	f.Add(int64(1), 12.0, 34.0, 80e3, 2.0)
 	f.Add(int64(2), 79.5, -179.0, 900e3, 3.0)
@@ -154,6 +157,30 @@ func FuzzNearConsistency(f *testing.F) {
 					i, radiusM, geo.GreatCircleDistance(tgt.Pos, q))
 			}
 		}
+		// The courses come from their own generator, so the targets above
+		// are unchanged; cells of at least 0.5 degrees keep each epoch's
+		// offsets small.
+		mv := &Set{Name: "fuzz-moving", Moving: true, Targets: slices.Clone(s.Targets)}
+		crng := rand.New(rand.NewSource(seed ^ 0x636f757273))
+		poles := []float64{90, -90, 89.9999, -89.95, 89, -89, math.NaN()}
+		for i := range mv.Targets {
+			tgt := &mv.Targets[i]
+			if i%20 == 0 {
+				tgt.Pos.Lat = poles[crng.Intn(len(poles))]
+			}
+			if crng.Intn(5) > 0 {
+				tgt.SpeedMS = 180 + crng.Float64()*120
+			}
+			tgt.HeadingDeg = crng.Float64() * 360
+			if crng.Intn(3) > 0 {
+				tgt.AppearS = crng.Float64() * 0.8 * 86400
+			}
+		}
+		tx := NewTimedIndex(mv, math.Max(cellDeg, 0.5), 600)
+		for _, ts := range []float64{0, 5 * 3600, 11*3600 + 1800} {
+			tx.Near(q, radiusM, ts)
+			checkCourses(t, tx)
+		}
 	})
 }
 
@@ -165,7 +192,9 @@ func FuzzNearConsistency(f *testing.F) {
 // repeats included, in the same order. Every target within the radius
 // must be swept, every live target keyed into the cell NewIndex files it
 // in, and Outside must never reject a target whose Target.PosAt lies
-// within the radius. The sweep must also be tight: no swept target
+// within the radius. The polar list and every epoch built, from the
+// courses of the groups its hour reaches, must equal those of every
+// target's course (checkCourses). The sweep must also be tight: no swept target
 // outside polar and loose may lie, at the query time, farther from p
 // than the chord of r + epochMarginM plus twice the extrapolation bound
 // δ²/2 + δ³/6 (δ = maxSpeed·|ts − mid|/R) and 10 m.
@@ -227,6 +256,7 @@ func FuzzTimedIndexSpanDifferential(f *testing.F) {
 			full := NewIndex(s, cellDeg, start)
 			want := within(s, full.NearInto(p, r, tq, nil), p, r, tq)
 			swept := tx.NearInto(p, r, tq, nil)
+			checkCourses(t, tx)
 			got := inOrder(tx, within(s, swept, p, r, tq), p, r, tq, &sc)
 			if !slices.Equal(got, want) {
 				t.Fatalf("t=%v: ordered sweep %v, full-set index %v", tq, got, want)
@@ -419,6 +449,57 @@ func checkSweepBound(t *testing.T, tx *TimedIndex, swept []int32, p geo.LatLon, 
 			t.Fatalf("t=%v: sweep lists target %d at chord %.6g, past the bound %.6g (δ %.4g)", ts, i, got, bound, d)
 		}
 	}
+}
+
+// checkCourses compares what tx derives from the courses it has computed
+// with the all-courses definition: every course it has computed with its
+// target's newTrack, bit for bit, its polar list with the moving targets
+// whose newTrack starts near a pole, and every epoch it has built with
+// one built after computing every course.
+func checkCourses(t *testing.T, tx *TimedIndex) {
+	t.Helper()
+	tx.tracksOnce.Do(tx.initTracks)
+	var polar []int32
+	for i := range tx.set.Targets {
+		tgt := &tx.set.Targets[i]
+		tr := newTrack(tgt.Pos, tgt.HeadingDeg)
+		if tgt.SpeedMS != 0 && tr.nearPole() {
+			polar = append(polar, int32(i))
+		}
+		if gr := &tx.groups[tx.courseAt[i]>>32]; gr.done.Load() && !sameTrack(*tx.track(int32(i)), tr) {
+			t.Fatalf("target %d: course %+v, newTrack %+v", i, *tx.track(int32(i)), tr)
+		}
+	}
+	if !slices.Equal(tx.polar, polar) {
+		t.Fatalf("polar list %v, all courses %v", tx.polar, polar)
+	}
+	ref := NewTimedIndex(tx.set, tx.grid.cellDeg, tx.bucketS)
+	ref.tracksOnce.Do(ref.initTracks)
+	ref.coursesThrough(math.MaxInt64)
+	tx.mu.RLock()
+	defer tx.mu.RUnlock()
+	for e, c := range tx.epochs {
+		if !c.done.Load() {
+			continue
+		}
+		got, want := c.ep, ref.buildEpoch(e)
+		if got.mid != want.mid || !slices.Equal(got.offsets, want.offsets) ||
+			!slices.Equal(got.slots, want.slots) || !slices.Equal(got.loose, want.loose) {
+			t.Fatalf("epoch %d: %d slots, %d loose; built from all courses %d and %d",
+				e, len(got.slots), len(got.loose), len(want.slots), len(want.loose))
+		}
+	}
+}
+
+// sameTrack reports whether two courses have the same bits, NaNs
+// included.
+func sameTrack(a, b track) bool {
+	for _, p := range [][2]float64{{a.a.X, b.a.X}, {a.a.Y, b.a.Y}, {a.a.Z, b.a.Z}, {a.b.X, b.b.X}, {a.b.Y, b.b.Y}, {a.b.Z, b.b.Z}} {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkKeys compares the bucket-start key of every target with the cell

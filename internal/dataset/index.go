@@ -267,15 +267,19 @@ type TimedIndex struct {
 	grid    grid
 	bucketS float64
 
-	// tracks caches every target's course and edges the grid's cell
+	// groups caches the targets' courses and edges the grid's cell
 	// boundaries, both in unit-vector form; spans holds every target's
 	// live span in buckets, polar lists the moving targets whose course
 	// starts near a pole, and maxSpeed is the largest target speed. They
-	// are built on the first query of a moving set or Outside call, so
-	// creating an index costs nothing up front; static sets never build
-	// them.
+	// are set up on the first query of a moving set or Outside call, so
+	// creating an index costs nothing up front; static sets never set
+	// them up. The courses themselves are computed group by group (see
+	// courseGroup), each group the first time a build or Outside reads
+	// it; courseAt locates target i's course: its group in the high 32
+	// bits, its place in the group's tracks in the low 32.
 	tracksOnce sync.Once
-	tracks     []track
+	groups     []courseGroup
+	courseAt   []uint64
 	spans      []liveSpan
 	edges      cellEdges
 	polar      []int32
@@ -298,6 +302,7 @@ type TimedIndex struct {
 	pending            sync.WaitGroup
 	builds, prefetches atomic.Int64
 	buildNS, blockedNS atomic.Int64
+	courses            atomic.Int64
 }
 
 // An epochCell is one epoch's slot in the index: built once, by the
@@ -311,13 +316,16 @@ type epochCell struct {
 }
 
 // EpochStats are a moving TimedIndex's running totals of epoch builds.
-// Builds depends only on which epochs queries and Prefetch reach; the two
-// times are wall-clock figures.
+// Builds and Courses depend only on which epochs queries and Prefetch
+// reach; the two times are wall-clock figures.
 type EpochStats struct {
 	// Builds counts the epochs built, and Prefetches the builds Prefetch
 	// started.
 	Builds, Prefetches int64
-	// BuildNS is the time spent building epochs, wherever the builds ran.
+	// Courses counts the targets whose course has been computed.
+	Courses int64
+	// BuildNS is the time spent building epochs, wherever the builds ran,
+	// including the courses a build computes.
 	BuildNS int64
 	// BlockedNS is the time queries spent blocked on a build: building
 	// the epoch themselves, or waiting for a build already under way.
@@ -493,14 +501,17 @@ func (tx *TimedIndex) EpochStats() EpochStats {
 	return EpochStats{
 		Builds:     tx.builds.Load(),
 		Prefetches: tx.prefetches.Load(),
+		Courses:    tx.courses.Load(),
 		BuildNS:    tx.buildNS.Load(),
 		BlockedNS:  tx.blockedNS.Load(),
 	}
 }
 
-// build builds epoch e into its cell and counts it; c.once runs it.
+// build builds epoch e into its cell, after the courses it reads, and
+// counts it; c.once runs it.
 func (tx *TimedIndex) build(c *epochCell, e int64) {
 	start := time.Now()
+	tx.coursesThrough(e)
 	c.ep = tx.buildEpoch(e)
 	tx.buildNS.Add(int64(time.Since(start)))
 	tx.builds.Add(1)
@@ -541,7 +552,7 @@ func (tx *TimedIndex) buildEpoch(e int64) *epoch {
 	slots := slices.Grow(ep.slots[:0], live)
 	for _, i := range ids {
 		speed := tx.set.Targets[i].SpeedMS
-		tr := &tx.tracks[i]
+		tr := tx.track(i)
 		v, w := tr.a, geo.Vec3{}
 		if speed != 0 {
 			if tr.nearPole() {
@@ -711,6 +722,20 @@ func (sp liveSpan) dead(lo, hi float64) int {
 	return b2i(sp.appear > hi) | b2i(sp.vanish < lo)
 }
 
+// group returns the course group of a target with this span: the epoch
+// its appearance bucket falls in, with NaN and non-positive buckets in
+// group 0 (a NaN appearance is never dead) and every bucket past the
+// cap in the last group.
+func (sp liveSpan) group() uint8 {
+	switch {
+	case !(sp.appear > 0):
+		return 0
+	case sp.appear >= (maxCourseGroups-1)*epochBuckets:
+		return maxCourseGroups - 1
+	}
+	return uint8(int(sp.appear) / epochBuckets)
+}
+
 // b2i is 1 for true and 0 for false, which the compiler computes
 // without a branch.
 func b2i(b bool) int {
@@ -723,7 +748,7 @@ func b2i(b bool) int {
 // keyAt returns moving target i's cell at bucket b's start at: -1 when
 // the target is not live in the bucket, where ActiveAt rejects it at
 // every time, and otherwise the cell a full-set NewIndex at the start
-// files it in. Callers have built the tracks.
+// files it in. Callers have run initTracks.
 func (tx *TimedIndex) keyAt(i int, b, at float64) int64 {
 	if tx.spans[i].dead(b, b) != 0 {
 		return -1
@@ -735,14 +760,21 @@ func (tx *TimedIndex) keyAt(i int, b, at float64) int64 {
 // lies outside c, judged from its unit-vector course by chord distance.
 // False means the target may be inside: the caller applies its exact test
 // to Target.PosAt(ts). Static sets, still targets and courses starting
-// near a pole are never judged here.
+// near a pole are never judged here. A target active at ts that a query
+// at ts returned has its course computed already; any other target's
+// group is computed here first.
 func (tx *TimedIndex) Outside(i int32, ts float64, c *Cap) bool {
 	t := &tx.set.Targets[i]
 	if !tx.set.Moving || t.SpeedMS == 0 {
 		return false
 	}
 	tx.tracksOnce.Do(tx.initTracks)
-	tr := &tx.tracks[i]
+	at := tx.courseAt[i]
+	gr := &tx.groups[at>>32]
+	if !gr.done.Load() {
+		tx.computeGroup(uint8(at >> 32))
+	}
+	tr := &gr.tracks[uint32(at)]
 	if tr.nearPole() {
 		return false
 	}
@@ -751,21 +783,95 @@ func (tx *TimedIndex) Outside(i int32, ts float64, c *Cap) bool {
 	return d.Dot(d) > c.chord2
 }
 
+// initTracks sets up what every query reads: the live spans, the largest
+// speed, the polar list and the cell edges, and the course groups, whose
+// courses it leaves to the builds and Outside calls that read them.
 func (tx *TimedIndex) initTracks() {
-	tx.tracks = make([]track, len(tx.set.Targets))
-	tx.spans = make([]liveSpan, len(tx.set.Targets))
+	n := len(tx.set.Targets)
+	tx.spans = make([]liveSpan, n)
+	tx.courseAt = make([]uint64, n)
+	var size [maxCourseGroups]uint32
 	for i := range tx.set.Targets {
 		t := &tx.set.Targets[i]
 		if t.SpeedMS > tx.maxSpeed {
 			tx.maxSpeed = t.SpeedMS
 		}
-		tx.tracks[i] = newTrack(t.Pos, t.HeadingDeg)
 		tx.spans[i] = newLiveSpan(t, tx.bucketS)
-		if t.SpeedMS != 0 && tx.tracks[i].nearPole() {
-			tx.polar = append(tx.polar, int32(i))
+		g := tx.spans[i].group()
+		tx.courseAt[i] = uint64(g)<<32 | uint64(size[g])
+		size[g]++
+		// Only a course starting at |lat| >= 89 degrees, or at a NaN
+		// latitude, can start near a pole: elsewhere cos² lat >= 3e-4, far
+		// above nearPole's 1e-6.
+		if t.SpeedMS != 0 && !(math.Abs(t.Pos.Lat) < 89) {
+			if tr := newTrack(t.Pos, t.HeadingDeg); tr.nearPole() {
+				tx.polar = append(tx.polar, int32(i))
+			}
 		}
 	}
+	groups := 1
+	for g := range size {
+		if size[g] > 0 {
+			groups = g + 1
+		}
+	}
+	tx.groups = make([]courseGroup, groups)
+	for g := range tx.groups {
+		tx.groups[g].size = size[g]
+	}
 	tx.edges = newCellEdges(tx.grid.cellDeg)
+}
+
+// maxCourseGroups caps the course groups: the appearances of the last
+// group's targets fall in its epoch or any later one, +Inf included, so
+// that no AppearS sizes an allocation.
+const maxCourseGroups = 256
+
+// A courseGroup holds the courses of the targets whose appearance falls
+// in one epoch (see liveSpan.group), in input order. A build of epoch e
+// reads the courses of groups 0 to e, since a target live in the epoch
+// appears no later than its last bucket, so an hour's build computes,
+// and stores, only the courses its hour adds. A group's courses are
+// computed once, under once, which sets done after them, as an
+// epochCell's build does.
+type courseGroup struct {
+	once   sync.Once
+	done   atomic.Bool
+	size   uint32
+	tracks []track
+}
+
+// computeGroup computes group g's courses unless they are computed,
+// waiting for another goroutine computing them.
+func (tx *TimedIndex) computeGroup(g uint8) {
+	gr := &tx.groups[g]
+	gr.once.Do(func() {
+		gr.tracks = make([]track, gr.size)
+		for i, at := range tx.courseAt {
+			if uint8(at>>32) == g {
+				t := &tx.set.Targets[i]
+				gr.tracks[uint32(at)] = newTrack(t.Pos, t.HeadingDeg)
+			}
+		}
+		tx.courses.Add(int64(gr.size))
+		gr.done.Store(true)
+	})
+}
+
+// coursesThrough computes the courses a build of epoch e reads, those of
+// groups 0 to e, in order; it waits for a group another goroutine is
+// computing, but never for a later group.
+func (tx *TimedIndex) coursesThrough(e int64) {
+	last := min(max(e, 0), int64(len(tx.groups)-1))
+	for g := int64(0); g <= last; g++ {
+		tx.computeGroup(uint8(g))
+	}
+}
+
+// track returns target i's course, which must be computed.
+func (tx *TimedIndex) track(i int32) *track {
+	at := tx.courseAt[i]
+	return &tx.groups[at>>32].tracks[uint32(at)]
 }
 
 // track is a moving target's great circle as two unit vectors
@@ -965,13 +1071,14 @@ func (tx *TimedIndex) Retire(ts float64) {
 func (tx *TimedIndex) Set() *Set { return tx.set }
 
 // Release drops the index's storage -- a static set's index, a moving
-// set's courses, live spans and epochs -- for an owner that is done with
-// it; the index is unusable afterwards. It must not run concurrently with
-// queries or with a build Prefetch started (Wait first).
+// set's courses, course groups, live spans and epochs -- for an owner
+// that is done with it; the index is unusable afterwards. It must not
+// run concurrently with queries or with a build Prefetch started (Wait
+// first).
 func (tx *TimedIndex) Release() {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	tx.static = nil
-	tx.tracks, tx.spans, tx.polar, tx.edges = nil, nil, nil, cellEdges{}
+	tx.groups, tx.courseAt, tx.spans, tx.polar, tx.edges = nil, nil, nil, nil, cellEdges{}
 	tx.epochs, tx.spare, tx.places = nil, nil, nil
 }

@@ -266,6 +266,34 @@ func TestTimedIndexConcurrentOutside(t *testing.T) {
 	wg.Wait()
 }
 
+// TestTimedIndexCoursesDifferential checks the course groups against the
+// all-courses definition on an airplane day whose every 499th airplane
+// starts at or near a pole or at a NaN latitude, so that the polar list
+// holds targets of many groups: the polar list, computed before any
+// course, and every epoch a query or Prefetch builds, from the groups its
+// hour reaches, equal those of every target's newTrack (checkCourses).
+// Before the first build no course is computed.
+func TestTimedIndexCoursesDifferential(t *testing.T) {
+	s := Airplanes(1)
+	poles := []float64{90, -90, 89.99995, -89.9999, 89.5, -89, math.NaN()}
+	for i := 0; i < len(s.Targets); i += 499 {
+		s.Targets[i].Pos.Lat = poles[(i/499)%len(poles)]
+	}
+	tx := NewTimedIndex(s, 2, 600)
+	tx.tracksOnce.Do(tx.initTracks)
+	if len(tx.polar) == 0 || tx.EpochStats().Courses != 0 {
+		t.Fatalf("%d polar courses, %d courses computed before any build", len(tx.polar), tx.EpochStats().Courses)
+	}
+	p := geo.LatLon{Lat: 48, Lon: 8}
+	for _, h := range []float64{0, 1, 7, 19, 23} {
+		tx.Near(p, 300e3, h*3600+1234)
+		checkCourses(t, tx)
+	}
+	tx.Prefetch(13 * 3600)
+	tx.Wait()
+	checkCourses(t, tx)
+}
+
 // TestPoleCourseKeysTopRow keys an airliner whose course passes within
 // rounding of the north pole. Its position after 1800 s once had a NaN
 // latitude, which Index.key filed in row 0, the south-polar row; it
@@ -321,6 +349,12 @@ func TestTimedIndexKeysFewTargets(t *testing.T) {
 // buckets of an airplane day (buckets 5 to 7, across an epoch boundary),
 // each with its own OrderScratch, and every swept, filtered and ordered
 // result must equal what a full-set NewIndex at the bucket start lists.
+// The first reach of each course group races too: epoch 1 is prefetched
+// as the queries start, and each goroutine calls Outside on its
+// candidates and on targets of every group, before any build reaches
+// most of them. Outside must reject only targets outside the cap, each
+// group's courses must be computed once, and each course must be its
+// target's newTrack.
 func TestTimedIndexConcurrentFirstTouch(t *testing.T) {
 	s := Airplanes(2)
 	type query struct {
@@ -339,20 +373,40 @@ func TestTimedIndexConcurrentFirstTouch(t *testing.T) {
 	}
 	tx := NewTimedIndex(s, 2, 600)
 	got := make([][][]int32, len(qs))
+	outside := func(i int32, q query, c *Cap) {
+		if tx.Outside(i, q.ts, c) && geo.GreatCircleDistance(s.Targets[i].PosAt(q.ts), q.p) <= q.r {
+			t.Errorf("Outside rejects target %d inside the cap at t=%v", i, q.ts)
+		}
+	}
 	var wg sync.WaitGroup
+	tx.Prefetch(3600)
 	for w := range qs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var scratch []int32
 			var sc OrderScratch
-			for _, q := range qs[w] {
+			for k, q := range qs[w] {
 				scratch = tx.NearInto(q.p, q.r, q.ts, scratch[:0])
+				c := NewCap(q.p, q.r)
+				for _, i := range scratch {
+					outside(i, q, &c)
+				}
+				outside(int32((w*7919+k*6899)%len(s.Targets)), q, &c)
 				got[w] = append(got[w], inOrder(tx, within(s, scratch, q.p, q.r, q.ts), q.p, q.r, q.ts, &sc))
 			}
 		}(w)
 	}
 	wg.Wait()
+	tx.Wait()
+	if st := tx.EpochStats(); st.Builds != 2 || st.Courses > int64(len(s.Targets)) {
+		t.Errorf("stats %+v: want epochs 0 and 1 built and each course computed at most once", st)
+	}
+	tx.coursesThrough(math.MaxInt64)
+	if st := tx.EpochStats(); st.Courses != int64(len(s.Targets)) {
+		t.Errorf("%d courses computed, want each of the %d once", st.Courses, len(s.Targets))
+	}
+	checkCourses(t, tx)
 	full := map[int64]*Index{}
 	found := 0
 	for w := range qs {
@@ -632,8 +686,8 @@ func TestTimedIndexSweepTight(t *testing.T) {
 }
 
 // TestTimedIndexRelease: after Wait, Release drops every epoch (the
-// spare a Retire kept among them), the build scratch, and the courses
-// and live spans, and a static set's index.
+// spare a Retire kept among them), the build scratch, and the courses,
+// course groups and live spans, and a static set's index.
 func TestTimedIndexRelease(t *testing.T) {
 	tx := NewTimedIndex(Airplanes(2), 2, 600)
 	p := geo.LatLon{Lat: 40, Lon: -95}
@@ -642,13 +696,13 @@ func TestTimedIndexRelease(t *testing.T) {
 	tx.Prefetch(7200)
 	tx.Wait()
 	tx.Retire(3600)
-	if len(tx.epochs) == 0 || tx.spare == nil || tx.tracks == nil {
-		t.Fatalf("nothing to release: %d epochs, spare %v, %d tracks", len(tx.epochs), tx.spare != nil, len(tx.tracks))
+	if len(tx.epochs) == 0 || tx.spare == nil || tx.groups == nil {
+		t.Fatalf("nothing to release: %d epochs, spare %v, %d course groups", len(tx.epochs), tx.spare != nil, len(tx.groups))
 	}
 	tx.Release()
-	if tx.epochs != nil || tx.spare != nil || tx.places != nil || tx.tracks != nil || tx.spans != nil || tx.polar != nil {
-		t.Errorf("Release kept storage: %d epochs, spare %v, %d places, %d tracks, %d spans, %d polar",
-			len(tx.epochs), tx.spare != nil, len(tx.places), len(tx.tracks), len(tx.spans), len(tx.polar))
+	if tx.epochs != nil || tx.spare != nil || tx.places != nil || tx.groups != nil || tx.courseAt != nil || tx.spans != nil || tx.polar != nil {
+		t.Errorf("Release kept storage: %d epochs, spare %v, %d places, %d course groups, %d course places, %d spans, %d polar",
+			len(tx.epochs), tx.spare != nil, len(tx.places), len(tx.groups), len(tx.courseAt), len(tx.spans), len(tx.polar))
 	}
 	static := NewTimedIndex(Ships(1), 2, 600)
 	static.Near(p, 300e3, 0)

@@ -43,6 +43,10 @@ func Rad2Deg(rad float64) float64 { return rad * 180 / math.Pi }
 
 // WrapLonDeg wraps a longitude in degrees into (-180, 180].
 func WrapLonDeg(lon float64) float64 {
+	if lon > -180 && lon <= 180 {
+		// math.Mod returns such a longitude unchanged, -0 included.
+		return lon
+	}
 	lon = math.Mod(lon, 360)
 	switch {
 	case lon > 180:

@@ -27,6 +27,37 @@ func TestWrapLonDeg(t *testing.T) {
 			t.Errorf("WrapLonDeg(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
+	// The fast path for longitudes already in (-180, 180] must return
+	// what the math.Mod formula returns, bit for bit: signed zeros, the
+	// interval's edges and the floats beside them, whole turns, huge and
+	// infinite values, NaN, and random longitudes over two turns.
+	modWrap := func(lon float64) float64 {
+		lon = math.Mod(lon, 360)
+		switch {
+		case lon > 180:
+			lon -= 360
+		case lon <= -180:
+			lon += 360
+		}
+		return lon
+	}
+	inf := math.Inf(1)
+	ins := []float64{math.NaN(), inf, -inf}
+	for _, v := range []float64{0, 180, 360, 540, 1e300} {
+		for _, x := range []float64{v, math.Nextafter(v, -inf), math.Nextafter(v, inf)} {
+			ins = append(ins, x, -x)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		ins = append(ins, rng.Float64()*1440-720)
+	}
+	for _, in := range ins {
+		got, want := WrapLonDeg(in), modWrap(in)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("WrapLonDeg(%v) = %v (%#x), math.Mod path %v (%#x)", in, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
 }
 
 func TestClampLatDeg(t *testing.T) {

@@ -138,9 +138,10 @@ type simMetrics struct {
 	reported []int64
 
 	// The moving-set index's epoch builds, their wall time wherever they
-	// ran, and the part of it queries spent blocked on a build; the runner
-	// adds the index's totals after every Advance.
-	epochBuilds, epochBuildNS, epochBlockedNS *obs.Counter
+	// ran, the part of it queries spent blocked on a build, and the
+	// courses the builds computed; the runner adds the index's totals
+	// after every Advance.
+	epochBuilds, epochBuildNS, epochBlockedNS, courses *obs.Counter
 
 	// Checkpoint lifecycle counters, bumped by Runner.Snapshot and
 	// RestoreRunner (process-local: a restored process starts at zero).
@@ -168,8 +169,9 @@ type simMetrics struct {
 func newSimMetrics(r *obs.Registry) *simMetrics {
 	m := &simMetrics{
 		epochBuilds:        r.Counter("eagleeye_index_epoch_builds_total", "Hourly epochs the moving-target index built."),
-		epochBuildNS:       r.Counter("eagleeye_index_epoch_build_nanoseconds_total", "Wall time spent building moving-target index epochs, in nanoseconds, on the frame loops or the prefetch goroutine."),
+		epochBuildNS:       r.Counter("eagleeye_index_epoch_build_nanoseconds_total", "Wall time spent building moving-target index epochs, with the courses they compute, in nanoseconds, on the frame loops or the prefetch goroutine."),
 		epochBlockedNS:     r.Counter("eagleeye_index_epoch_blocked_nanoseconds_total", "Wall time target-index queries spent blocked on an epoch build, in nanoseconds: building it themselves or waiting for the prefetch."),
+		courses:            r.Counter("eagleeye_index_courses_total", "Target courses the moving-target index computed: those of the targets appearing by the last hour a run reached."),
 		checkpointWrites:   r.Counter("eagleeye_checkpoint_writes_total", "Simulation snapshots written."),
 		checkpointRestores: r.Counter("eagleeye_checkpoint_restores_total", "Simulation snapshots restored."),
 		checkpointBytes:    r.Counter("eagleeye_checkpoint_bytes_total", "Bytes of simulation snapshots written."),

@@ -252,6 +252,43 @@ func TestRunnerPrefetchHorizon(t *testing.T) {
 	}
 }
 
+// TestRunnerCoursesPerReachedHour pins which courses a run computes: a
+// 1 h, 2-satellite airplanes run (dataset seed 1) builds one epoch and
+// computes the courses of the 20,124 airplanes appearing in its hour, and
+// a 24 h run builds 24 epochs and computes all 55,196. The registry's
+// course counter matches the index's.
+func TestRunnerCoursesPerReachedHour(t *testing.T) {
+	for _, c := range []struct {
+		hours                   float64
+		wantBuilds, wantCourses int64
+	}{
+		{1, 1, 20124},
+		{24, 24, dataset.AirplaneCount},
+	} {
+		reg := obs.NewRegistry()
+		r, err := NewRunner(Config{
+			Constellation: constellation.Config{Kind: constellation.LeaderFollower, Satellites: 2},
+			App:           dataset.Airplanes(1),
+			DurationS:     c.hours * 3600,
+			Seed:          1,
+			Metrics:       reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		advance(t, r, r.cfg.DurationS)
+		r.index.Wait()
+		st := r.index.EpochStats()
+		if st.Builds != c.wantBuilds || st.Courses != c.wantCourses {
+			t.Errorf("%v h run: %d builds, %d courses; want %d and %d", c.hours, st.Builds, st.Courses, c.wantBuilds, c.wantCourses)
+		}
+		r.Close()
+		if got := reg.CounterValue("eagleeye_index_courses_total"); got != st.Courses {
+			t.Errorf("%v h run: courses counter %d, index computed %d", c.hours, got, st.Courses)
+		}
+	}
+}
+
 // TestMovingWorldGolden pins the moving-world run against values recorded
 // before the index built buckets from live targets on cached courses: any
 // change to which targets a frame sees, or where, moves these numbers.

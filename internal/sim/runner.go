@@ -298,6 +298,7 @@ func (r *Runner) reportIndex() {
 	}
 	st := r.index.EpochStats()
 	r.sm.epochBuilds.Add(st.Builds - r.indexSeen.Builds)
+	r.sm.courses.Add(st.Courses - r.indexSeen.Courses)
 	r.sm.epochBuildNS.Add(st.BuildNS - r.indexSeen.BuildNS)
 	r.sm.epochBlockedNS.Add(st.BlockedNS - r.indexSeen.BlockedNS)
 	r.indexSeen = st
